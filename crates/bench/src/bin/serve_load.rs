@@ -191,16 +191,17 @@ fn parse_args() -> Args {
                      \x20  --min-jain fails the run if Jain fairness over per-tenant\n\
                      \x20  demand-met falls below F (CI gate; needs >= 2 tenants)\n\
                      \x20  --mutate insert=F,delete=F runs an open-loop mixed read/write\n\
-                     \x20  workload against a mutable ssam-store backend instead of the\n\
+                     \x20  workload against a mutable sharded-store backend instead of the\n\
                      \x20  read-only sweeps: fractions are per-arrival probabilities (the\n\
                      \x20  rest are reads), writes churn uids in [0, 2n), and the report\n\
                      \x20  gains write tails, compaction stall time, and read-during-\n\
                      \x20  compaction tails (--memtable N overrides the seal threshold)\n\
-                     \x20  --shards N --replicas R (mutate mode) shard the store over\n\
-                     \x20  N*R modules with replicated WALs; mid-run the harness kills a\n\
-                     \x20  replica module and revives it (a failover drill), then replays\n\
-                     \x20  the surviving WAL images through ShardedStore::open and\n\
-                     \x20  reports the recovery + write-failover ledger in the JSON"
+                     \x20  --shards N --replicas R shard the store of every --mutate run\n\
+                     \x20  over N*R modules with replicated WALs (default 1 x 1); after\n\
+                     \x20  the run the harness replays the WAL images through\n\
+                     \x20  ShardedStore::open and reports the recovery + write-failover\n\
+                     \x20  ledger in the JSON; with R > 1 it also kills a replica module\n\
+                     \x20  mid-run and revives it (a failover drill)"
                 );
                 std::process::exit(0);
             }
@@ -694,9 +695,7 @@ fn closed_loop(
 fn device_share_seconds(resp: &ssam_serve::Response) -> f64 {
     match &resp.account {
         ssam_serve::DeviceAccount::Device { batch, .. } => batch.seconds_per_query,
-        ssam_serve::DeviceAccount::Cluster(t) => t.seconds,
-        ssam_serve::DeviceAccount::Store { seconds, .. }
-        | ssam_serve::DeviceAccount::Sharded { seconds, .. } => *seconds,
+        ssam_serve::DeviceAccount::Sharded { seconds, .. } => *seconds,
     }
 }
 
@@ -732,48 +731,12 @@ fn parse_mutate_spec(s: &str) -> MutateSpec {
     m
 }
 
-fn lock_store(
-    store: &std::sync::Mutex<ssam_store::Store>,
-) -> std::sync::MutexGuard<'_, ssam_store::Store> {
-    store
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 fn lock_sharded(
     store: &std::sync::Mutex<ssam_store::ShardedStore>,
 ) -> std::sync::MutexGuard<'_, ssam_store::ShardedStore> {
     store
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The `--mutate` harness runs against either store backend; both expose
-/// the aggregate [`ssam_store::StoreStats`] the report is built from.
-#[derive(Clone)]
-enum MutBackend {
-    Single(Arc<std::sync::Mutex<ssam_store::Store>>),
-    Sharded(Arc<std::sync::Mutex<ssam_store::ShardedStore>>),
-}
-
-impl MutBackend {
-    fn of(server: &Server) -> MutBackend {
-        match server.sharded_store() {
-            Some(st) => MutBackend::Sharded(st),
-            None => MutBackend::Single(server.store().expect("store backend")),
-        }
-    }
-
-    fn stats(&self) -> ssam_store::StoreStats {
-        match self {
-            MutBackend::Single(s) => lock_store(s).stats(),
-            MutBackend::Sharded(s) => lock_sharded(s).stats(),
-        }
-    }
-
-    fn compactions(&self) -> u64 {
-        self.stats().compactions
-    }
 }
 
 fn percentile_of(samples: &[f64], q: f64) -> f64 {
@@ -789,7 +752,7 @@ fn percentile_json(samples: &[f64], q: f64) -> Value {
 
 /// The `--mutate` harness: an open-loop Poisson stream where each
 /// arrival is an insert, a delete, or a read, against a mutable
-/// [`ssam_store::Store`] behind the serving runtime (so reads batch
+/// [`ssam_store::ShardedStore`] behind the serving runtime (so reads batch
 /// through the normal path and compaction runs on the maintenance
 /// thread, sharing the store lock with every query and write).
 ///
@@ -800,7 +763,7 @@ fn percentile_json(samples: &[f64], q: f64) -> Value {
 /// (classified by the store's compaction counter moving between a read's
 /// submission and completion).
 fn run_mutate(args: &Args, spec: &MutateSpec) {
-    use ssam_store::{ShardedStore, ShardedStoreConfig, Store, StoreConfig};
+    use ssam_store::{ShardedStore, ShardedStoreConfig, StoreConfig};
 
     let ds = PaperDataset::GloVe.scaled_spec(args.scale);
     let bench = ssam_datasets::Benchmark::from_spec(ds);
@@ -828,7 +791,6 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         args.shards >= 1 && args.replicas >= 1,
         "--shards and --replicas must be at least 1"
     );
-    let sharded = args.shards > 1 || args.replicas > 1;
 
     let fault_plan = args.faults.as_deref().map(|fs| {
         Arc::new(FaultPlan::parse(fs).unwrap_or_else(|e| panic!("bad --faults spec: {e}")))
@@ -844,42 +806,31 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         },
         ..ServeConfig::default()
     };
-    let server = if sharded {
-        let mut store = ShardedStore::create(ShardedStoreConfig::new(
-            args.shards,
-            args.replicas,
-            store_config,
-        ));
-        store.attach_telemetry(&sink);
-        for i in 0..n as u32 {
-            store
-                .insert(i, queries_or_train(&bench.train, i))
-                .expect("initial load");
-        }
-        while store.compact_step() {}
-        Arc::new(Server::start_sharded_store(store, serve_config))
-    } else {
-        let mut store = Store::create(store_config);
-        store.attach_telemetry(&sink);
-        for i in 0..n as u32 {
-            store
-                .insert(i, queries_or_train(&bench.train, i))
-                .expect("initial load");
-        }
-        // Drain load-time compaction debt so the measured window starts
-        // from a settled tree.
-        while store.compact_step() {}
-        Arc::new(Server::start_store(store, serve_config))
-    };
+    let mut store = ShardedStore::create(ShardedStoreConfig::new(
+        args.shards,
+        args.replicas,
+        store_config,
+    ));
+    store.attach_telemetry(&sink);
+    for i in 0..n as u32 {
+        store
+            .insert(i, queries_or_train(&bench.train, i))
+            .expect("initial load");
+    }
+    // Drain load-time compaction debt so the measured window starts
+    // from a settled tree.
+    while store.compact_step() {}
+    let server = Arc::new(Server::start_sharded_store(store, serve_config));
     let handle = server.handle();
-    let backend = MutBackend::of(&server);
-    let base = backend.stats();
+    let store = server.sharded_store().expect("store backend");
+    let base = lock_sharded(&store).stats();
 
     let rate = args.rate.unwrap_or(500.0).max(1.0);
     println!(
         "serve-load --mutate: {} initial vectors ({dims}-d), k={k}, \
          memtable {memtable_capacity}, fanout 4, {} q/s offered \
-         (insert {:.0}%, delete {:.0}%, read {:.0}%), executor={}{}",
+         (insert {:.0}%, delete {:.0}%, read {:.0}%), executor={}, \
+         {} shards x {} replicas ({} modules)",
         n,
         fmt(rate),
         spec.insert * 100.0,
@@ -890,23 +841,16 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         } else {
             "cycle simulator"
         },
-        if sharded {
-            format!(
-                ", {} shards x {} replicas ({} modules)",
-                args.shards,
-                args.replicas,
-                args.shards * args.replicas
-            )
-        } else {
-            String::new()
-        }
+        args.shards,
+        args.replicas,
+        args.shards * args.replicas
     );
 
     // Waiter thread: drains read tickets as they resolve, classifying
     // each read by whether the compaction counter moved while it was in
     // flight.
     let (tx, rx) = mpsc::channel::<(ssam_serve::Ticket, u64)>();
-    let store_w = backend.clone();
+    let store_w = Arc::clone(&store);
     let waiter = std::thread::spawn(move || {
         let mut read_ms = Vec::new();
         let mut during_ms = Vec::new();
@@ -918,7 +862,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
                 Ok(r) => {
                     let ms = (r.queue_seconds + r.service_seconds) * 1e3;
                     dev += device_share_seconds(&r);
-                    let c1 = store_w.compactions();
+                    let c1 = lock_sharded(&store_w).stats().compactions;
                     if c1 != c0 {
                         during_ms.push(ms);
                     }
@@ -947,11 +891,11 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     let mut rejected = 0u64;
     let mut insert_ms = Vec::new();
     let mut delete_ms = Vec::new();
-    // Failover drill (sharded with replication only): kill one replica
+    // Failover drill (replicated topologies only): kill one replica
     // module at half time, revive it at three quarters. While it is down
     // its shard's writes fail over to the surviving replicas' WALs; on
     // revive the queued records catch it back up.
-    let drill = sharded && args.replicas > 1;
+    let drill = args.replicas > 1;
     let kill_at = t0 + Duration::from_secs_f64(args.seconds * 0.5);
     let revive_at = t0 + Duration::from_secs_f64(args.seconds * 0.75);
     let drill_module = 0usize;
@@ -969,9 +913,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         if drill {
             let now = Instant::now();
             if !killed && now >= kill_at {
-                if let MutBackend::Sharded(st) = &backend {
-                    lock_sharded(st).kill_module(drill_module);
-                }
+                lock_sharded(&store).kill_module(drill_module);
                 killed = true;
                 println!(
                     "drill: killed module {drill_module} (shard 0, replica 0) \
@@ -980,9 +922,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
                 );
             }
             if killed && !revived && now >= revive_at {
-                if let MutBackend::Sharded(st) = &backend {
-                    lock_sharded(st).revive_module(drill_module);
-                }
+                lock_sharded(&store).revive_module(drill_module);
                 revived = true;
                 println!(
                     "drill: revived module {drill_module} at t={:.1}s",
@@ -1019,7 +959,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         } else {
             let q = queries.get(query_index(cursor, nq)).to_vec();
             cursor += 1;
-            let c0 = backend.compactions();
+            let c0 = lock_sharded(&store).stats().compactions;
             let mut req = Request::new(OwnedQuery::Euclidean(q), k);
             if let Some(t) = args.timeout {
                 req = req.with_timeout(t);
@@ -1040,12 +980,12 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         waiter.join().expect("waiter thread");
     let cpu_seconds = process_cpu_seconds().zip(cpu0).map(|(a, b)| a - b);
 
-    // Sharded epilogue: revive anything still down, then drain every
-    // fail-over queue with scratch writes (a write catches up all live
-    // replicas of its shard before appending), so the write ledger can
-    // close over pending_now == 0.
-    if let MutBackend::Sharded(st_arc) = &backend {
-        let mut st = lock_sharded(st_arc);
+    // Epilogue: revive anything still down, then drain every fail-over
+    // queue with scratch writes (a write catches up all live replicas of
+    // its shard before appending), so the write ledger can close over
+    // pending_now == 0.
+    {
+        let mut st = lock_sharded(&store);
         if killed && !revived {
             st.revive_module(drill_module);
         }
@@ -1077,138 +1017,123 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         write_amp: f64,
         compaction_debt: u64,
     }
-    let (stats, summary, sharded_json, sharded_line) = match &backend {
-        MutBackend::Single(store) => {
-            let st = lock_store(store);
-            st.record_account("serve_load_mutate");
-            let a = st.account("serve_load_mutate");
-            let summary = StoreSummary {
-                live: a.live(),
-                resident: a.resident(),
-                dead_ratio: a.dead_ratio(),
-                write_amp: a.write_amp(),
-                compaction_debt: a.compaction_debt(),
-            };
-            (st.stats(), summary, None, None)
-        }
-        MutBackend::Sharded(store) => {
-            let st = lock_sharded(store);
-            st.record_account("serve_load_mutate");
-            let a = st.account("serve_load_mutate");
-            st.check_write_ledger()
-                .unwrap_or_else(|e| panic!("write-failover ledger does not close: {e}"));
-            let ledger = st.write_ledger().clone();
-            // Recovery drill: replay the live WAL images through a fresh
-            // open and demand the twin agrees on the live set.
-            let (twin, rec) = ShardedStore::open(st.config().clone(), &st.wal_images())
-                .expect("recovery drill: reopen from WAL images");
-            assert_eq!(
-                twin.live_len(),
-                st.live_len(),
-                "recovery drill: reopened store disagrees on the live set"
-            );
-            let resident: usize = a.modules.iter().map(|m| m.store.resident()).sum();
-            let dead: f64 = a
-                .modules
-                .iter()
-                .map(|m| m.store.dead_ratio() * m.store.resident() as f64)
-                .sum();
-            let payload: u64 = a.modules.iter().map(|m| m.store.payload_bytes).sum();
-            let durable: u64 = a
-                .modules
-                .iter()
-                .map(|m| m.store.wal_bytes + m.store.staged_bytes)
-                .sum();
-            let summary = StoreSummary {
-                live: a.live,
-                resident,
-                dead_ratio: if resident == 0 {
-                    0.0
-                } else {
-                    dead / resident as f64
-                },
-                write_amp: if payload == 0 {
-                    0.0
-                } else {
-                    durable as f64 / payload as f64
-                },
-                compaction_debt: a.modules.iter().map(|m| m.store.compaction_debt()).sum(),
-            };
-            let mut o = BTreeMap::new();
-            o.insert("shards".into(), json::number_usize(st.shards()));
-            o.insert("replicas".into(), json::number_usize(st.replicas()));
-            o.insert("drill".into(), Value::Bool(drill));
-            o.insert("drill_module".into(), json::number_usize(drill_module));
-            o.insert(
-                "write_outages".into(),
-                json::number_u64(ledger.write_outages),
-            );
-            o.insert(
-                "failed_over_writes".into(),
-                json::number_u64(ledger.failed_over_writes),
-            );
-            o.insert(
-                "refused_writes".into(),
-                json::number_u64(ledger.refused_writes),
-            );
-            o.insert(
-                "catch_up_records".into(),
-                json::number_u64(ledger.catch_up_records),
-            );
-            o.insert(
-                "pending_peak".into(),
-                json::number_usize(ledger.pending_peak),
-            );
-            o.insert(
-                "backoff_seconds".into(),
-                json::number_f64(ledger.backoff_seconds),
-            );
-            o.insert("ledger_closed".into(), Value::Bool(true));
-            o.insert(
-                "acked_failed_over".into(),
-                json::number_u64(acked_failed_over),
-            );
-            o.insert("refused_client".into(), json::number_u64(refused));
-            o.insert("behind_total".into(), json::number_usize(a.behind_total()));
-            let mut rec_o = BTreeMap::new();
-            rec_o.insert(
-                "records_replayed".into(),
-                json::number_usize(rec.total.replayed),
-            );
-            rec_o.insert(
-                "truncated_bytes".into(),
-                json::number_u64(rec.total.truncated),
-            );
-            rec_o.insert(
-                "segments_rebuilt".into(),
-                json::number_usize(rec.total.segments_rebuilt),
-            );
-            rec_o.insert(
-                "catch_up_records".into(),
-                json::number_u64(rec.catch_up_records),
-            );
-            o.insert("recovery_drill".into(), Value::Object(rec_o));
-            let line = format!(
-                "sharded: {} shards x {} replicas; {} write outages, {} writes \
+    let (stats, summary, sharded_json, sharded_line) = {
+        let st = lock_sharded(&store);
+        st.record_account("serve_load_mutate");
+        let a = st.account("serve_load_mutate");
+        st.check_write_ledger()
+            .unwrap_or_else(|e| panic!("write-failover ledger does not close: {e}"));
+        let ledger = st.write_ledger().clone();
+        // Recovery drill: replay the live WAL images through a fresh
+        // open and demand the twin agrees on the live set.
+        let (twin, rec) = ShardedStore::open(st.config().clone(), &st.wal_images())
+            .expect("recovery drill: reopen from WAL images");
+        assert_eq!(
+            twin.live_len(),
+            st.live_len(),
+            "recovery drill: reopened store disagrees on the live set"
+        );
+        let resident: usize = a.modules.iter().map(|m| m.store.resident()).sum();
+        let dead: f64 = a
+            .modules
+            .iter()
+            .map(|m| m.store.dead_ratio() * m.store.resident() as f64)
+            .sum();
+        let payload: u64 = a.modules.iter().map(|m| m.store.payload_bytes).sum();
+        let durable: u64 = a
+            .modules
+            .iter()
+            .map(|m| m.store.wal_bytes + m.store.staged_bytes)
+            .sum();
+        let summary = StoreSummary {
+            live: a.live,
+            resident,
+            dead_ratio: if resident == 0 {
+                0.0
+            } else {
+                dead / resident as f64
+            },
+            write_amp: if payload == 0 {
+                0.0
+            } else {
+                durable as f64 / payload as f64
+            },
+            compaction_debt: a.modules.iter().map(|m| m.store.compaction_debt()).sum(),
+        };
+        let mut o = BTreeMap::new();
+        o.insert("shards".into(), json::number_usize(st.shards()));
+        o.insert("replicas".into(), json::number_usize(st.replicas()));
+        o.insert("drill".into(), Value::Bool(drill));
+        o.insert("drill_module".into(), json::number_usize(drill_module));
+        o.insert(
+            "write_outages".into(),
+            json::number_u64(ledger.write_outages),
+        );
+        o.insert(
+            "failed_over_writes".into(),
+            json::number_u64(ledger.failed_over_writes),
+        );
+        o.insert(
+            "refused_writes".into(),
+            json::number_u64(ledger.refused_writes),
+        );
+        o.insert(
+            "catch_up_records".into(),
+            json::number_u64(ledger.catch_up_records),
+        );
+        o.insert(
+            "pending_peak".into(),
+            json::number_usize(ledger.pending_peak),
+        );
+        o.insert(
+            "backoff_seconds".into(),
+            json::number_f64(ledger.backoff_seconds),
+        );
+        o.insert("ledger_closed".into(), Value::Bool(true));
+        o.insert(
+            "acked_failed_over".into(),
+            json::number_u64(acked_failed_over),
+        );
+        o.insert("refused_client".into(), json::number_u64(refused));
+        o.insert("behind_total".into(), json::number_usize(a.behind_total()));
+        let mut rec_o = BTreeMap::new();
+        rec_o.insert(
+            "records_replayed".into(),
+            json::number_usize(rec.total.replayed),
+        );
+        rec_o.insert(
+            "truncated_bytes".into(),
+            json::number_u64(rec.total.truncated),
+        );
+        rec_o.insert(
+            "segments_rebuilt".into(),
+            json::number_usize(rec.total.segments_rebuilt),
+        );
+        rec_o.insert(
+            "catch_up_records".into(),
+            json::number_u64(rec.catch_up_records),
+        );
+        o.insert("recovery_drill".into(), Value::Object(rec_o));
+        let line = format!(
+            "sharded: {} shards x {} replicas; {} write outages, {} writes \
                  failed over ({} acked as such), {} refused, {} catch-up records \
                  (peak pending {}), {:.3}s modeled backoff; recovery drill \
                  replayed {} records / rebuilt {} segments ({} catch-up), live \
                  set agrees",
-                st.shards(),
-                st.replicas(),
-                ledger.write_outages,
-                ledger.failed_over_writes,
-                acked_failed_over,
-                ledger.refused_writes,
-                ledger.catch_up_records,
-                ledger.pending_peak,
-                ledger.backoff_seconds,
-                rec.total.replayed,
-                rec.total.segments_rebuilt,
-                rec.catch_up_records,
-            );
-            (st.stats(), summary, Some(Value::Object(o)), Some(line))
-        }
+            st.shards(),
+            st.replicas(),
+            ledger.write_outages,
+            ledger.failed_over_writes,
+            acked_failed_over,
+            ledger.refused_writes,
+            ledger.catch_up_records,
+            ledger.pending_peak,
+            ledger.backoff_seconds,
+            rec.total.replayed,
+            rec.total.segments_rebuilt,
+            rec.catch_up_records,
+        );
+        (st.stats(), summary, Value::Object(o), line)
     };
     let write_ms: Vec<f64> = insert_ms.iter().chain(&delete_ms).copied().collect();
     let stall = stats.compact_seconds - base.compact_seconds;
@@ -1249,9 +1174,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         summary.write_amp,
         summary.compaction_debt,
     );
-    if let Some(line) = &sharded_line {
-        println!("{line}");
-    }
+    println!("{sharded_line}");
 
     let server_stats = Arc::into_inner(server).expect("sole owner").shutdown();
 
@@ -1346,9 +1269,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     store_o.insert("wal_bytes".into(), json::number_u64(stats.wal_bytes));
     store_o.insert("staged_bytes".into(), json::number_u64(stats.staged_bytes));
     mutate_o.insert("store".into(), Value::Object(store_o));
-    if let Some(sharded_v) = sharded_json {
-        mutate_o.insert("sharded".into(), sharded_v);
-    }
+    mutate_o.insert("sharded".into(), sharded_json);
 
     let mut root = BTreeMap::new();
     root.insert(

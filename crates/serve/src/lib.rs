@@ -10,10 +10,11 @@
 //! into device-sized batches.
 //!
 //! A [`Server`] owns a pool of worker threads, each holding a clone of
-//! the backing [`SsamDevice`] (or [`SsamCluster`]) — clones share the
-//! `Arc`-held dataset shards and kernel images, so they are cheap, and
-//! each worker's batched executions recycle warm processing units
-//! through the device's `reset_state` path. Callers get a cloneable
+//! the backing [`SsamDevice`] (or, for mutable data, sharing one
+//! [`ssam_store::ShardedStore`]) — clones share the `Arc`-held dataset
+//! shards and kernel images, so they are cheap, and each worker's
+//! batched executions recycle warm processing units through the
+//! device's `reset_state` path. Callers get a cloneable
 //! [`ServerHandle`] and submit [`Request`]s:
 //!
 //! * **Dynamic batching** — concurrently submitted requests that are
@@ -52,11 +53,13 @@
 //!   std-only length-prefixed TCP frame protocol with a blocking
 //!   [`net::NetClient`], typed wire encodings for every [`ServeError`]
 //!   variant, and graceful connection drain on shutdown.
-//! * **Mutable datasets** — [`Server::start_store`] serves an
-//!   [`ssam_store::Store`] instead of an immutable device:
-//!   [`ServerHandle::insert`] / [`ServerHandle::delete`] accept online
-//!   writes (WAL-first, with automatic memtable seals), queries see a
-//!   consistent memtable ∪ segments view with tombstone suppression and
+//! * **Mutable datasets** — [`Server::start_sharded_store`] serves an
+//!   [`ssam_store::ShardedStore`] instead of an immutable device (a
+//!   single store module is the 1 × 1 topology):
+//!   [`ServerHandle::insert_routed`] / [`ServerHandle::delete_routed`]
+//!   accept online writes (WAL-first, replicated, with automatic
+//!   memtable seals), queries scatter-gather a consistent memtable ∪
+//!   segments view with tombstone suppression and
 //!   dedup-by-latest-version, and a background maintenance thread runs
 //!   leveled compaction between batches, sharing the store with readers.
 //!
@@ -101,12 +104,11 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ssam_core::device::cluster::{ClusterTiming, SsamCluster};
 use ssam_core::device::{BatchTiming, DeviceMetric, DeviceQuery, QueryTiming, SsamDevice};
 use ssam_core::sim::pu::SimError;
 use ssam_faults::FaultPlan;
 use ssam_knn::topk::Neighbor;
-use ssam_store::{ShardRecovery, ShardWriteAck, ShardedStore, Store, StoreError, WriteAck};
+use ssam_store::{ShardRecovery, ShardWriteAck, ShardedStore, StoreError};
 
 use crate::batcher::{plan, Action, BatchKey, PendingMeta};
 use crate::qos::{FairState, TokenBucket};
@@ -179,16 +181,11 @@ pub struct ServeConfig {
     /// tier, equal weights — making QoS invisible to single-tenant use.
     pub qos: QosConfig,
     /// How often the mutable-store maintenance thread polls for owed
-    /// compaction work ([`Server::start_store`] only; ignored by the
-    /// immutable backends). Each poll runs at most one
-    /// [`ssam_store::Store::compact_step`], so queries interleave with
-    /// compaction at single-merge granularity.
+    /// compaction work ([`Server::start_sharded_store`] only; ignored by
+    /// the immutable backend). Each poll runs at most one
+    /// [`ShardedStore::compact_step`] (one merge on one module), so
+    /// queries interleave with compaction at single-merge granularity.
     pub maintenance_interval: Duration,
-    /// Thin back-compat wrapper for [`ServeFaults::panic_on_batch`]
-    /// (the hook's original home). [`ServeFaults::panic_on_batch`] wins
-    /// when both are set; prefer it in new code.
-    #[doc(hidden)]
-    pub panic_on_batch: Option<u64>,
 }
 
 impl Default for ServeConfig {
@@ -202,18 +199,11 @@ impl Default for ServeConfig {
             faults: ServeFaults::default(),
             qos: QosConfig::default(),
             maintenance_interval: Duration::from_micros(500),
-            panic_on_batch: None,
         }
     }
 }
 
 impl ServeConfig {
-    /// The effective panic-injection batch: the fault config's hook,
-    /// falling back to the legacy top-level field.
-    fn effective_panic_on_batch(&self) -> Option<u64> {
-        self.faults.panic_on_batch.or(self.panic_on_batch)
-    }
-
     /// Per-request retry budget for under-coverage responses (0 without
     /// a fault plan).
     fn degraded_retry_budget(&self) -> u32 {
@@ -407,22 +397,6 @@ pub enum DeviceAccount {
         /// The whole device batch's pipelined account.
         batch: BatchTiming,
     },
-    /// Served by a [`SsamCluster`]: the per-query cluster account.
-    Cluster(ClusterTiming),
-    /// Served by a mutable [`ssam_store::Store`]: memtable scan plus one
-    /// device query per segment.
-    Store {
-        /// Slowest segment's simulated device seconds (segments scan in
-        /// parallel, like vaults within one device).
-        seconds: f64,
-        /// Total device energy across all segment queries, millijoules.
-        energy_mj: f64,
-        /// Segments that executed a device query.
-        segments_scanned: usize,
-        /// Candidates returned by segments but suppressed as superseded
-        /// or tombstoned.
-        suppressed: usize,
-    },
     /// Served by a [`ssam_store::ShardedStore`]: per-shard scatter plus
     /// an exact global top-k gather.
     Sharded {
@@ -443,14 +417,11 @@ pub enum DeviceAccount {
 
 impl DeviceAccount {
     /// Modeled device seconds for this request alone (serial-equivalent
-    /// for the single-module backend, end-to-end for the cluster).
+    /// for the immutable device, slowest module for the sharded store).
     pub fn device_seconds(&self) -> f64 {
         match self {
             DeviceAccount::Device { timing, .. } => timing.seconds,
-            DeviceAccount::Cluster(t) => t.seconds,
-            DeviceAccount::Store { seconds, .. } | DeviceAccount::Sharded { seconds, .. } => {
-                *seconds
-            }
+            DeviceAccount::Sharded { seconds, .. } => *seconds,
         }
     }
 
@@ -458,10 +429,7 @@ impl DeviceAccount {
     pub fn energy_mj(&self) -> f64 {
         match self {
             DeviceAccount::Device { timing, .. } => timing.energy_mj,
-            DeviceAccount::Cluster(t) => t.energy_mj,
-            DeviceAccount::Store { energy_mj, .. } | DeviceAccount::Sharded { energy_mj, .. } => {
-                *energy_mj
-            }
+            DeviceAccount::Sharded { energy_mj, .. } => *energy_mj,
         }
     }
 }
@@ -605,20 +573,10 @@ struct QueryShape {
     len: usize,
     binary: bool,
     hw_queue: bool,
-    /// The cluster backend broadcasts float Euclidean queries only.
-    euclidean_only: bool,
     /// The mutable store serves the linear float kernels only
     /// (Euclidean / Manhattan) — cosine has no analytic memtable
     /// equivalent and binary payloads are immutable.
     float_linear_only: bool,
-}
-
-/// The mutable backend behind a write-capable server: one store module,
-/// or a sharded/replicated topology of them.
-#[derive(Clone)]
-enum StoreBackend {
-    Single(Arc<Mutex<Store>>),
-    Sharded(Arc<Mutex<ShardedStore>>),
 }
 
 struct Shared {
@@ -626,33 +584,26 @@ struct Shared {
     wake: Condvar,
     config: ServeConfig,
     shape: QueryShape,
-    /// The mutable store behind [`Server::start_store`] /
-    /// [`Server::start_sharded_store`] backends; the write path
-    /// ([`ServerHandle::insert`] / [`ServerHandle::delete`]) and the
-    /// maintenance thread go through it.
-    store: Option<StoreBackend>,
+    /// The mutable store behind a [`Server::start_sharded_store`]
+    /// backend; the write path ([`ServerHandle::insert_routed`] /
+    /// [`ServerHandle::delete_routed`]) and the maintenance thread go
+    /// through it.
+    store: Option<Arc<Mutex<ShardedStore>>>,
 }
 
-/// Locks the shared store, recovering from poisoning: the store's state
-/// transitions are WAL-first and each apply step completes before the
-/// lock is released, so a panicked worker cannot leave it torn.
-fn lock_store(store: &Mutex<Store>) -> std::sync::MutexGuard<'_, Store> {
-    store
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Locks the shared sharded store; the same poisoning argument as
-/// [`lock_store`] holds per module, and cross-module bookkeeping
-/// (placement sets, pending queues) is updated before release.
+/// Locks the shared store, recovering from poisoning: each module's
+/// state transitions are WAL-first and every apply step completes
+/// before the lock is released, and cross-module bookkeeping (placement
+/// sets, pending queues) is updated before release, so a panicked
+/// worker cannot leave it torn.
 fn lock_sharded(store: &Mutex<ShardedStore>) -> std::sync::MutexGuard<'_, ShardedStore> {
     store
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The execution backend a worker owns: a clone of the template device
-/// (or cluster), replaced from the template after a panic.
+/// The execution backend a worker owns: a clone of the template device,
+/// replaced from the template after a panic, or the shared store.
 enum Engine {
     Device {
         template: Arc<SsamDevice>,
@@ -661,17 +612,11 @@ enum Engine {
         /// template always carries scope 0).
         scope: u64,
     },
-    Cluster {
-        template: Arc<SsamCluster>,
-        live: Box<SsamCluster>,
-    },
     /// All workers share one mutable store (writes must be visible to
     /// every reader), so execution serializes on its lock — the store is
     /// the single-writer analogue of a storage engine behind a latch.
-    Store { store: Arc<Mutex<Store>> },
-    /// Sharded topology: the same shared-authoritative-state argument as
-    /// [`Engine::Store`] applies, with failover health and pending
-    /// catch-up queues also living under the lock.
+    /// Failover health and pending catch-up queues live under the same
+    /// lock.
     ShardedStore { store: Arc<Mutex<ShardedStore>> },
 }
 
@@ -681,8 +626,6 @@ impl Engine {
     fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
         match self {
             Engine::Device { live, .. } => live.set_fault_plan(plan),
-            Engine::Cluster { live, .. } => live.set_fault_plan(plan),
-            Engine::Store { store } => lock_store(store).set_fault_plan(plan),
             Engine::ShardedStore { store } => lock_sharded(store).set_fault_plan(plan),
         }
     }
@@ -697,11 +640,10 @@ impl Engine {
                 **live = (**template).clone();
                 live.set_fault_scope(*scope);
             }
-            Engine::Cluster { template, live } => **live = (**template).clone(),
             // The store is shared authoritative state, not a per-worker
             // clone: every apply step completes under the lock before a
             // query can observe it, so there is nothing to roll back.
-            Engine::Store { .. } | Engine::ShardedStore { .. } => {}
+            Engine::ShardedStore { .. } => {}
         }
     }
 
@@ -734,58 +676,11 @@ impl Engine {
                     })
                     .collect())
             }
-            Engine::Cluster { live, .. } => {
-                let queries: Vec<&[f32]> = batch
-                    .iter()
-                    .map(|p| match &p.query {
-                        OwnedQuery::Euclidean(q) => q.as_slice(),
-                        _ => unreachable!("admission rejects non-Euclidean cluster queries"),
-                    })
-                    .collect();
-                let out = live.query_batch(&queries, k)?;
-                Ok(out
-                    .into_iter()
-                    .map(|(neighbors, timing)| {
-                        let coverage = timing.coverage();
-                        (neighbors, DeviceAccount::Cluster(timing), coverage)
-                    })
-                    .collect())
-            }
-            Engine::Store { store } => {
-                // One lock acquisition for the whole batch: every member
-                // sees the same consistent memtable ∪ segments view, and
-                // compaction cannot slide in between members.
-                let mut st = lock_store(store);
-                let mut out = Vec::with_capacity(batch.len());
-                for p in batch {
-                    let (q, metric) = match &p.query {
-                        OwnedQuery::Euclidean(q) => (q.as_slice(), DeviceMetric::Euclidean),
-                        OwnedQuery::Manhattan(q) => (q.as_slice(), DeviceMetric::Manhattan),
-                        _ => unreachable!("admission rejects non-linear store queries"),
-                    };
-                    let r = match st.query(q, metric, k) {
-                        Ok(r) => r,
-                        Err(StoreError::Device(e)) => return Err(e),
-                        Err(e) => unreachable!("admission-checked store query failed: {e}"),
-                    };
-                    let coverage = r.coverage();
-                    out.push((
-                        r.neighbors,
-                        DeviceAccount::Store {
-                            seconds: r.device_seconds,
-                            energy_mj: r.energy_mj,
-                            segments_scanned: r.segments_scanned,
-                            suppressed: r.suppressed,
-                        },
-                        coverage,
-                    ));
-                }
-                Ok(out)
-            }
             Engine::ShardedStore { store } => {
-                // Same one-lock-per-batch contract as the single store:
-                // every member sees one consistent cross-shard view, and
-                // failover health transitions are batch-atomic.
+                // One lock acquisition for the whole batch: every member
+                // sees one consistent cross-shard view, compaction cannot
+                // slide in between members, and failover health
+                // transitions are batch-atomic.
                 let mut st = lock_sharded(store);
                 let shards = st.shards();
                 let mut out = Vec::with_capacity(batch.len());
@@ -845,7 +740,6 @@ impl Server {
                 .expect("serve: device must have a dataset loaded"),
             binary: device.payload_is_binary().unwrap_or(false),
             hw_queue: device.config().use_hw_queue,
-            euclidean_only: false,
             float_linear_only: false,
         };
         let template = Arc::new(device);
@@ -860,90 +754,23 @@ impl Server {
         })
     }
 
-    /// Spawns the worker pool over clones of `cluster`. The cluster
-    /// backend serves float Euclidean queries only (the cluster
-    /// broadcast path); other metrics are rejected at admission.
-    ///
-    /// # Panics
-    /// Panics if the cluster holds no data.
-    pub fn start_cluster(mut cluster: SsamCluster, config: ServeConfig) -> Server {
-        if let Some(plan) = &config.faults.plan {
-            // The cluster scopes fault keys by module index itself
-            // (health-aware dispatch and failover live inside it).
-            cluster.set_fault_plan(Some(Arc::clone(plan)));
-        }
-        let shape = QueryShape {
-            len: cluster
-                .query_len()
-                .expect("serve: cluster must have a dataset loaded"),
-            binary: false,
-            hw_queue: true,
-            euclidean_only: true,
-            float_linear_only: false,
-        };
-        let template = Arc::new(cluster);
-        Self::spawn(config, shape, None, move |_worker| Engine::Cluster {
-            live: Box::new((*template).clone()),
-            template: Arc::clone(&template),
-        })
-    }
-
-    /// Spawns the worker pool over a shared mutable [`Store`] and starts
-    /// serving reads *and* writes: queries flow through the usual
-    /// batcher, [`ServerHandle::insert`] / [`ServerHandle::delete`]
-    /// mutate the store WAL-first, and a maintenance thread polls every
-    /// [`ServeConfig::maintenance_interval`] to run owed compactions
-    /// one merge at a time, interleaving with query batches on the
-    /// store lock. Attach telemetry and load any initial data into the
-    /// store *before* this call.
+    /// Spawns the worker pool over a shared [`ShardedStore`] — the
+    /// mutable backend; a single store module is the 1 × 1 topology
+    /// (`ShardedStoreConfig::new(1, 1, config)`). Starts serving reads
+    /// *and* writes: queries flow through the usual batcher and
+    /// scatter-gather across shards with failover, writes route by uid
+    /// hash ([`ServerHandle::insert_routed`] /
+    /// [`ServerHandle::delete_routed`] return the per-shard
+    /// [`ShardWriteAck`]) and land WAL-first, and a maintenance thread
+    /// polls every [`ServeConfig::maintenance_interval`] to drain owed
+    /// compactions across every module, one merge per poll, interleaving
+    /// with query batches on the store lock. Attach telemetry and load
+    /// any initial data into the store *before* this call. If the store
+    /// was recovered via [`ShardedStore::open`], the aggregate recovery
+    /// report lands in [`ServerStats`].
     ///
     /// The store serves float Euclidean / Manhattan queries; cosine and
     /// binary Hamming requests are rejected at admission.
-    pub fn start_store(mut store: Store, config: ServeConfig) -> Server {
-        if let Some(plan) = &config.faults.plan {
-            store.set_fault_plan(Some(Arc::clone(plan)));
-        }
-        let shape = QueryShape {
-            len: store.config().dims,
-            binary: false,
-            hw_queue: store.config().device.use_hw_queue,
-            euclidean_only: false,
-            float_linear_only: true,
-        };
-        let recovery = store.recovery();
-        let store = Arc::new(Mutex::new(store));
-        let engine_store = Arc::clone(&store);
-        let mut server = Self::spawn(
-            config,
-            shape,
-            Some(StoreBackend::Single(Arc::clone(&store))),
-            move |_worker| Engine::Store {
-                store: Arc::clone(&engine_store),
-            },
-        );
-        if let Some(rec) = recovery {
-            let mut st = server.shared.state.lock().expect("serve queue lock");
-            st.stats.recovered_records = rec.replayed as u64;
-            st.stats.recovered_truncated_bytes = rec.truncated;
-            st.stats.recovered_segments = rec.segments_rebuilt as u64;
-        }
-        server.spawn_maintenance(move || lock_store(&store).compact_step());
-        server
-    }
-
-    /// Spawns the worker pool over a shared [`ShardedStore`] — the
-    /// multi-module mutable backend. Reads scatter-gather across shards
-    /// with failover; writes route by uid hash
-    /// ([`ServerHandle::insert_routed`] returns the per-shard
-    /// [`ShardWriteAck`]; the unrouted [`ServerHandle::insert`] still
-    /// works and returns its single-module projection). The maintenance
-    /// thread drains owed compactions across every module, one merge
-    /// per poll. If the sharded store was recovered via
-    /// [`ShardedStore::open`], the aggregate recovery report lands in
-    /// [`ServerStats`].
-    ///
-    /// Query shape and admission rules match [`Server::start_store`]:
-    /// float Euclidean / Manhattan only.
     pub fn start_sharded_store(mut store: ShardedStore, config: ServeConfig) -> Server {
         if let Some(plan) = &config.faults.plan {
             store.set_fault_plan(Some(Arc::clone(plan)));
@@ -952,37 +779,32 @@ impl Server {
             len: store.config().store.dims,
             binary: false,
             hw_queue: store.config().store.device.use_hw_queue,
-            euclidean_only: false,
             float_linear_only: true,
         };
         let recovery: Option<ShardRecovery> = store.recovery().cloned();
         let store = Arc::new(Mutex::new(store));
         let engine_store = Arc::clone(&store);
-        let mut server = Self::spawn(
-            config,
-            shape,
-            Some(StoreBackend::Sharded(Arc::clone(&store))),
-            move |_worker| Engine::ShardedStore {
+        let mut server = Self::spawn(config, shape, Some(Arc::clone(&store)), move |_worker| {
+            Engine::ShardedStore {
                 store: Arc::clone(&engine_store),
-            },
-        );
+            }
+        });
         if let Some(rec) = recovery {
             let mut st = server.shared.state.lock().expect("serve queue lock");
             st.stats.recovered_records = rec.total.replayed as u64;
             st.stats.recovered_truncated_bytes = rec.total.truncated;
             st.stats.recovered_segments = rec.total.segments_rebuilt as u64;
         }
-        server.spawn_maintenance(move || lock_sharded(&store).compact_step());
+        server.spawn_maintenance(store);
         server
     }
 
-    /// Starts the background compaction thread shared by the mutable
-    /// backends: each poll runs at most one merge via `compact_once`,
-    /// sleeping [`ServeConfig::maintenance_interval`] when idle.
-    fn spawn_maintenance(&mut self, compact_once: impl FnMut() -> bool + Send + 'static) {
+    /// Starts the background compaction thread: each poll runs at most
+    /// one merge ([`ShardedStore::compact_step`]), sleeping
+    /// [`ServeConfig::maintenance_interval`] when idle.
+    fn spawn_maintenance(&mut self, store: Arc<Mutex<ShardedStore>>) {
         let shared = Arc::clone(&self.shared);
         let interval = shared.config.maintenance_interval;
-        let mut compact_once = compact_once;
         self.maintenance = Some(
             std::thread::Builder::new()
                 .name("ssam-serve-maintenance".into())
@@ -990,7 +812,7 @@ impl Server {
                     if !shared.state.lock().expect("serve queue lock").open {
                         return;
                     }
-                    if !compact_once() {
+                    if !lock_sharded(&store).compact_step() {
                         std::thread::sleep(interval);
                     }
                 })
@@ -1001,7 +823,7 @@ impl Server {
     fn spawn(
         config: ServeConfig,
         shape: QueryShape,
-        store: Option<StoreBackend>,
+        store: Option<Arc<Mutex<ShardedStore>>>,
         make_engine: impl Fn(usize) -> Engine,
     ) -> Server {
         let workers = config.workers.max(1);
@@ -1037,26 +859,13 @@ impl Server {
         }
     }
 
-    /// The shared mutable store behind a [`Server::start_store`]
-    /// backend (`None` for the immutable and sharded backends). Lock it
-    /// to read lifecycle stats or post telemetry accounts; writes
-    /// should go through the handle so they are counted and
-    /// admission-checked.
-    pub fn store(&self) -> Option<Arc<Mutex<Store>>> {
-        match &self.shared.store {
-            Some(StoreBackend::Single(s)) => Some(Arc::clone(s)),
-            _ => None,
-        }
-    }
-
-    /// The shared sharded store behind a [`Server::start_sharded_store`]
-    /// backend (`None` otherwise). Lock it for drills
-    /// ([`ShardedStore::kill_module`]), ledgers, and accounts.
+    /// The shared store behind a [`Server::start_sharded_store`]
+    /// backend (`None` for the immutable backend). Lock it to read
+    /// lifecycle stats, run drills ([`ShardedStore::kill_module`]), or
+    /// post telemetry accounts; writes should go through the handle so
+    /// they are counted and admission-checked.
     pub fn sharded_store(&self) -> Option<Arc<Mutex<ShardedStore>>> {
-        match &self.shared.store {
-            Some(StoreBackend::Sharded(s)) => Some(Arc::clone(s)),
-            _ => None,
-        }
+        self.shared.store.clone()
     }
 
     /// A cloneable submission handle.
@@ -1132,11 +941,6 @@ impl ServerHandle {
         if req.query.is_binary() != shape.binary {
             return Err(ServeError::BadRequest(
                 "query representation incompatible with the loaded payload",
-            ));
-        }
-        if shape.euclidean_only && !matches!(req.query, OwnedQuery::Euclidean(_)) {
-            return Err(ServeError::BadRequest(
-                "cluster backend serves Euclidean queries only",
             ));
         }
         if shape.float_linear_only
@@ -1215,85 +1019,44 @@ impl ServerHandle {
         self.submit(req)?.wait()
     }
 
-    /// Inserts (or updates) `uid` in the mutable store behind a
-    /// [`Server::start_store`] backend. The write is applied WAL-first
-    /// and synchronously: once this returns, every subsequent query
-    /// sees it. May trip an automatic memtable seal
-    /// ([`WriteAck::sealed`]).
+    /// Inserts (or updates) `uid` in the store behind a
+    /// [`Server::start_sharded_store`] backend. The write is applied
+    /// WAL-first and synchronously: once this returns, every subsequent
+    /// query sees it. The [`ShardWriteAck`] reports the target shard,
+    /// the replicas that applied the write synchronously, whether it
+    /// failed over to a standby replica's WAL, and whether it tripped an
+    /// automatic memtable seal.
     ///
     /// # Errors
     /// [`ServeError::BadRequest`] without a store backend or on a
     /// wrong-length vector, [`ServeError::ShuttingDown`] once shutdown
-    /// began.
-    pub fn insert(&self, uid: u32, vector: &[f32]) -> Result<WriteAck, ServeError> {
-        self.insert_routed(uid, vector).map(|ack| ack.ack())
-    }
-
-    /// Deletes `uid` from the mutable store (blind deletes are
-    /// accepted — the tombstone is recorded either way). Synchronous
-    /// like [`ServerHandle::insert`].
-    ///
-    /// # Errors
-    /// [`ServeError::BadRequest`] without a store backend,
-    /// [`ServeError::ShuttingDown`] once shutdown began.
-    pub fn delete(&self, uid: u32) -> Result<WriteAck, ServeError> {
-        self.delete_routed(uid).map(|ack| ack.ack())
-    }
-
-    /// Inserts (or updates) `uid`, reporting the full routed
-    /// [`ShardWriteAck`]: target shard, replicas that applied the write
-    /// synchronously, and whether it failed over to a standby replica's
-    /// WAL. Against a single-module store backend the ack is the
-    /// trivial routing (shard 0, one replica).
-    ///
-    /// # Errors
-    /// As [`ServerHandle::insert`], plus
-    /// [`ServeError::ShardUnavailable`] when every replica of the
-    /// target shard is down.
+    /// began, [`ServeError::ShardUnavailable`] when every replica of
+    /// the target shard is down.
     pub fn insert_routed(&self, uid: u32, vector: &[f32]) -> Result<ShardWriteAck, ServeError> {
-        let backend = self.writable_store()?;
+        let store = self.writable_store()?;
         if vector.len() != self.shared.shape.len {
             return Err(ServeError::BadRequest(
                 "vector length mismatches the store dims",
             ));
         }
-        let result = match &backend {
-            StoreBackend::Single(s) => lock_store(s)
-                .insert(uid, vector)
-                .map(single_module_ack)
-                .map_err(store_write_error),
-            StoreBackend::Sharded(s) => lock_sharded(s)
-                .insert(uid, vector)
-                .map_err(store_write_error),
-        };
+        let result = lock_sharded(&store)
+            .insert(uid, vector)
+            .map_err(store_write_error);
         self.count_write(&result, true);
         result
     }
 
-    /// Deletes `uid`, reporting the full routed [`ShardWriteAck`] like
-    /// [`ServerHandle::insert_routed`].
+    /// Deletes `uid` (blind deletes are accepted — the tombstone is
+    /// recorded either way), reporting the routed [`ShardWriteAck`]
+    /// like [`ServerHandle::insert_routed`].
     ///
     /// # Errors
-    /// As [`ServerHandle::delete`], plus
-    /// [`ServeError::ShardUnavailable`] when every replica of the
-    /// target shard is down.
+    /// As [`ServerHandle::insert_routed`], minus the length check.
     pub fn delete_routed(&self, uid: u32) -> Result<ShardWriteAck, ServeError> {
-        let backend = self.writable_store()?;
-        let result = match &backend {
-            StoreBackend::Single(s) => lock_store(s)
-                .delete(uid)
-                .map(single_module_ack)
-                .map_err(store_write_error),
-            StoreBackend::Sharded(s) => lock_sharded(s).delete(uid).map_err(store_write_error),
-        };
+        let store = self.writable_store()?;
+        let result = lock_sharded(&store).delete(uid).map_err(store_write_error);
         self.count_write(&result, false);
         result
-    }
-
-    /// Whether writes route across a sharded backend (the network edge
-    /// uses this to pick the richer routed write reply frame).
-    pub fn backend_is_sharded(&self) -> bool {
-        matches!(self.shared.store, Some(StoreBackend::Sharded(_)))
     }
 
     /// Updates the write counters for one settled write.
@@ -1310,8 +1073,8 @@ impl ServerHandle {
     /// The store backend, if this server has one, is still accepting
     /// writes, and the (default-tenant) write-rate bucket admits one
     /// more ([`TenantQos::write_rate`]).
-    fn writable_store(&self) -> Result<StoreBackend, ServeError> {
-        let Some(backend) = &self.shared.store else {
+    fn writable_store(&self) -> Result<Arc<Mutex<ShardedStore>>, ServeError> {
+        let Some(store) = &self.shared.store else {
             return Err(ServeError::BadRequest(
                 "server has no mutable store backend",
             ));
@@ -1339,20 +1102,7 @@ impl ServerHandle {
                 return Err(ServeError::RateLimited { tenant });
             }
         }
-        Ok(backend.clone())
-    }
-}
-
-/// The routed image of a single-module write: shard 0, one replica, no
-/// failover.
-fn single_module_ack(ack: WriteAck) -> ShardWriteAck {
-    ShardWriteAck {
-        shard: 0,
-        seq: ack.seq,
-        sealed: ack.sealed,
-        wal_len: ack.wal_len,
-        replicas_acked: 1,
-        failed_over: false,
+        Ok(Arc::clone(store))
     }
 }
 
@@ -1492,7 +1242,7 @@ fn execute_batch(shared: &Shared, engine: &mut Engine, batch: Vec<Pending>, seq:
         engine.set_fault_plan(stormy.then(|| Arc::clone(plan)));
     }
     let formed = Instant::now();
-    let inject = shared.config.effective_panic_on_batch() == Some(seq);
+    let inject = shared.config.faults.panic_on_batch == Some(seq);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         assert!(!inject, "injected fault (ServeFaults::panic_on_batch)");
         engine.execute(&batch, k)

@@ -21,16 +21,13 @@
 //! [0x44 'D'][uid u32]                             (store delete)
 //! ```
 //!
-//! Write frames target a [`Server::start_store`] or
-//! [`Server::start_sharded_store`] backend; against an immutable
-//! backend they answer with a typed `BadRequest`. A write reply is
-//! status `9` carrying the [`ssam_store::WriteAck`] fields (`seq u64`,
-//! `sealed u8`, `wal_len u64`) from a single-module store, or status
-//! `10` carrying the routed [`ssam_store::ShardWriteAck`] (adds
-//! `shard u32`, `replicas_acked u32`, `failed_over u8`) from a sharded
-//! one — [`decode_write_reply`] accepts either, so single-module
-//! clients work against sharded servers unchanged — or any error
-//! status below.
+//! Write frames target a [`Server::start_sharded_store`] backend;
+//! against an immutable backend they answer with a typed `BadRequest`.
+//! A write reply has one success status, `10`, carrying the routed
+//! [`ssam_store::ShardWriteAck`] (`seq u64`, `sealed u8`, `wal_len u64`,
+//! `shard u32`, `replicas_acked u32`, `failed_over u8`; a single-module
+//! store is the 1 × 1 topology and reports shard 0, one replica), or
+//! any error status below.
 //!
 //! ## Reply frame
 //!
@@ -59,7 +56,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ssam_knn::topk::Neighbor;
-use ssam_store::{ShardWriteAck, WriteAck};
+use ssam_store::ShardWriteAck;
 
 use crate::{
     OwnedQuery, Request, Response, ServeError, Server, ServerHandle, ServerStats, TenantId,
@@ -85,7 +82,6 @@ const ST_BAD_REQUEST: u8 = 5;
 const ST_DEVICE: u8 = 6;
 const ST_WORKER_PANICKED: u8 = 7;
 const ST_DEGRADED: u8 = 8;
-const ST_WRITE_OK: u8 = 9;
 const ST_WRITE_OK_SHARDED: u8 = 10;
 const ST_SHARD_UNAVAILABLE: u8 = 11;
 
@@ -553,30 +549,7 @@ pub fn decode_write(payload: &[u8]) -> Result<WriteOp, String> {
     Ok(op)
 }
 
-/// Encodes one store-write outcome as a reply frame payload.
-pub fn encode_write_reply(reply: &Result<WriteAck, ServeError>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(18);
-    match reply {
-        Ok(ack) => {
-            out.push(ST_WRITE_OK);
-            out.extend_from_slice(&ack.seq.to_le_bytes());
-            out.push(u8::from(ack.sealed));
-            out.extend_from_slice(&ack.wal_len.to_le_bytes());
-        }
-        Err(e) => put_error(&mut out, e),
-    }
-    out
-}
-
-/// Decodes one store-write reply frame payload. Accepts both the plain
-/// (`9`) and sharded (`10`) success statuses — a client written for the
-/// single-module protocol keeps working against a sharded server, the
-/// routing fields are simply dropped.
-pub fn decode_write_reply(payload: &[u8]) -> Result<Result<WriteAck, RemoteError>, String> {
-    decode_routed_write_reply(payload).map(|r| r.map(|ack| ack.ack()))
-}
-
-/// Encodes one sharded-store write outcome: status `10` carrying the
+/// Encodes one store-write outcome: status `10` carrying the
 /// full [`ShardWriteAck`] (`seq u64`, `sealed u8`, `wal_len u64`,
 /// `shard u32`, `replicas_acked u32`, `failed_over u8`).
 pub fn encode_sharded_write_reply(reply: &Result<ShardWriteAck, ServeError>) -> Vec<u8> {
@@ -604,28 +577,14 @@ fn take_bool(c: &mut Cursor<'_>, what: &str) -> Result<bool, String> {
     }
 }
 
-/// Decodes one write reply into the routed ack, whichever success
-/// status the server used (a plain `9` decodes as the trivial routing:
-/// shard 0, one replica).
+/// Decodes one store-write reply frame payload into the routed ack or
+/// the typed remote error.
 pub fn decode_routed_write_reply(
     payload: &[u8],
 ) -> Result<Result<ShardWriteAck, RemoteError>, String> {
     let mut c = Cursor::new(payload);
     let status = c.u8()?;
     let reply = match status {
-        ST_WRITE_OK => {
-            let seq = c.u64()?;
-            let sealed = take_bool(&mut c, "sealed")?;
-            let wal_len = c.u64()?;
-            Ok(ShardWriteAck {
-                shard: 0,
-                seq,
-                sealed,
-                wal_len,
-                replicas_acked: 1,
-                failed_over: false,
-            })
-        }
         ST_WRITE_OK_SHARDED => {
             let seq = c.u64()?;
             let sealed = take_bool(&mut c, "sealed")?;
@@ -847,24 +806,13 @@ fn connection_loop(mut stream: TcpStream, handle: &ServerHandle, stop: &AtomicBo
             Ok(None) | Err(_) => return, // clean close, drain, or transport error
         };
         let frame = match payload.first() {
-            // A sharded backend answers writes with the routed reply
-            // frame (status 10); the plain store keeps the original
-            // status-9 frame so its wire format is unchanged.
-            Some(&MSG_INSERT) | Some(&MSG_DELETE) if handle.backend_is_sharded() => {
+            Some(&MSG_INSERT) | Some(&MSG_DELETE) => {
                 let reply = match decode_write(&payload) {
                     Ok(WriteOp::Insert { uid, vector }) => handle.insert_routed(uid, &vector),
                     Ok(WriteOp::Delete { uid }) => handle.delete_routed(uid),
                     Err(_) => Err(ServeError::BadRequest("malformed write frame")),
                 };
                 encode_sharded_write_reply(&reply)
-            }
-            Some(&MSG_INSERT) | Some(&MSG_DELETE) => {
-                let reply = match decode_write(&payload) {
-                    Ok(WriteOp::Insert { uid, vector }) => handle.insert(uid, &vector),
-                    Ok(WriteOp::Delete { uid }) => handle.delete(uid),
-                    Err(_) => Err(ServeError::BadRequest("malformed write frame")),
-                };
-                encode_write_reply(&reply)
             }
             _ => {
                 let reply = match decode_request(&payload) {
@@ -913,39 +861,24 @@ impl NetClient {
         }
     }
 
-    /// Inserts (or updates) `uid` in the server's mutable store. Against
-    /// an immutable backend this comes back as a typed
-    /// [`RemoteError::BadRequest`].
-    pub fn insert(&mut self, uid: u32, vector: &[f32]) -> Result<WriteAck, ClientError> {
-        self.write_op(&encode_insert(uid, vector))
-    }
-
-    /// Deletes `uid` from the server's mutable store.
-    pub fn delete(&mut self, uid: u32) -> Result<WriteAck, ClientError> {
-        self.write_op(&encode_delete(uid))
-    }
-
-    fn write_op(&mut self, frame: &[u8]) -> Result<WriteAck, ClientError> {
-        self.write_op_routed(frame).map(|ack| ack.ack())
-    }
-
-    /// Inserts (or updates) `uid`, returning the full routed
-    /// [`ShardWriteAck`] when the server shards its store (a plain
-    /// store backend reports the trivial routing).
+    /// Inserts (or updates) `uid` in the server's mutable store,
+    /// returning the routed [`ShardWriteAck`]. Against an immutable
+    /// backend this comes back as a typed [`RemoteError::BadRequest`].
     pub fn insert_routed(
         &mut self,
         uid: u32,
         vector: &[f32],
     ) -> Result<ShardWriteAck, ClientError> {
-        self.write_op_routed(&encode_insert(uid, vector))
+        self.write_op(&encode_insert(uid, vector))
     }
 
-    /// Deletes `uid`, returning the full routed [`ShardWriteAck`].
+    /// Deletes `uid` from the server's mutable store, returning the
+    /// routed [`ShardWriteAck`].
     pub fn delete_routed(&mut self, uid: u32) -> Result<ShardWriteAck, ClientError> {
-        self.write_op_routed(&encode_delete(uid))
+        self.write_op(&encode_delete(uid))
     }
 
-    fn write_op_routed(&mut self, frame: &[u8]) -> Result<ShardWriteAck, ClientError> {
+    fn write_op(&mut self, frame: &[u8]) -> Result<ShardWriteAck, ClientError> {
         write_frame(&mut self.stream, frame)?;
         let payload = read_frame(&mut self.stream, None)?
             .ok_or_else(|| ClientError::Protocol("server closed before replying".into()))?;
@@ -1047,31 +980,7 @@ mod tests {
     }
 
     #[test]
-    fn write_replies_round_trip_ack_and_errors() {
-        let ack = WriteAck {
-            seq: 41,
-            sealed: true,
-            wal_len: 12_345,
-        };
-        assert_eq!(
-            decode_write_reply(&encode_write_reply(&Ok(ack))).expect("decodes"),
-            Ok(ack)
-        );
-        let err = ServeError::BadRequest("server has no mutable store backend");
-        assert_eq!(
-            decode_write_reply(&encode_write_reply(&Err(err))).expect("decodes"),
-            Err(RemoteError::BadRequest(
-                "server has no mutable store backend".into()
-            ))
-        );
-        // A write reply with a mangled sealed byte is a protocol error.
-        let mut frame = encode_write_reply(&Ok(ack));
-        frame[9] = 7;
-        assert!(decode_write_reply(&frame).is_err());
-    }
-
-    #[test]
-    fn sharded_write_replies_round_trip_and_downgrade() {
+    fn sharded_write_replies_round_trip() {
         let ack = ShardWriteAck {
             shard: 5,
             seq: 77,
@@ -1083,25 +992,35 @@ mod tests {
         let frame = encode_sharded_write_reply(&Ok(ack));
         // The routed decode round-trips every field.
         assert_eq!(decode_routed_write_reply(&frame).expect("decodes"), Ok(ack));
-        // A single-module client decodes the same frame, dropping the
-        // routing fields.
-        assert_eq!(decode_write_reply(&frame).expect("decodes"), Ok(ack.ack()));
-        // And a routed client decodes a plain status-9 frame as the
-        // trivial routing.
-        let plain = encode_write_reply(&Ok(ack.ack()));
-        let routed = decode_routed_write_reply(&plain)
-            .expect("decodes")
-            .expect("ok");
-        assert_eq!(routed.shard, 0);
-        assert_eq!(routed.replicas_acked, 1);
-        assert!(!routed.failed_over);
-        assert_eq!(routed.ack(), ack.ack());
         // Typed refusal crosses the wire.
         let refused = encode_sharded_write_reply(&Err(ServeError::ShardUnavailable { shard: 5 }));
         assert_eq!(
             decode_routed_write_reply(&refused).expect("decodes"),
             Err(RemoteError::ShardUnavailable { shard: 5 })
         );
+        // So does a typed BadRequest.
+        let err = ServeError::BadRequest("server has no mutable store backend");
+        assert_eq!(
+            decode_routed_write_reply(&encode_sharded_write_reply(&Err(err))).expect("decodes"),
+            Err(RemoteError::BadRequest(
+                "server has no mutable store backend".into()
+            ))
+        );
+        // A write reply with a mangled boolean byte is a protocol error:
+        // `sealed` sits after the status byte and the u64 seq, and
+        // `failed_over` is the last byte.
+        for at in [9, frame.len() - 1] {
+            let mut mangled = frame.clone();
+            mangled[at] = 7;
+            assert!(decode_routed_write_reply(&mangled).is_err());
+        }
+        // Status 9, the retired single-module ack, is no longer a write
+        // reply the client understands.
+        let mut retired = vec![9u8];
+        retired.extend_from_slice(&77u64.to_le_bytes());
+        retired.push(0);
+        retired.extend_from_slice(&4_096u64.to_le_bytes());
+        assert!(decode_routed_write_reply(&retired).is_err());
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Deterministic integration tests for the serving runtime: every
 //! trigger of the batcher state machine exercised through the real
 //! threaded server, plus admission control, shutdown drain, panic
-//! isolation, the cluster backend, and telemetry cross-checking.
+//! isolation, and telemetry cross-checking.
 
 use std::time::{Duration, Instant};
 
-use ssam_core::device::cluster::SsamCluster;
 use ssam_core::device::{SsamConfig, SsamDevice};
 use ssam_core::telemetry::Telemetry;
 use ssam_knn::binary::BinaryStore;
 use ssam_knn::VectorStore;
-use ssam_serve::{OwnedQuery, Request, ServeConfig, ServeError, Server};
+use ssam_serve::{OwnedQuery, Request, ServeConfig, ServeError, ServeFaults, Server};
 
 const DIMS: usize = 8;
 
@@ -336,7 +335,10 @@ fn worker_panic_is_isolated_and_server_recovers() {
             max_batch: 1, // every request is its own batch
             max_linger: Duration::from_millis(1),
             workers: 1,
-            panic_on_batch: Some(0),
+            faults: ServeFaults {
+                panic_on_batch: Some(0),
+                ..ServeFaults::default()
+            },
             ..ServeConfig::default()
         },
     );
@@ -356,42 +358,6 @@ fn worker_panic_is_isolated_and_server_recovers() {
     assert_eq!(stats.worker_panics, 1);
     assert_eq!(stats.failed, 1);
     assert_eq!(stats.served, 1);
-}
-
-#[test]
-fn cluster_backend_serves_and_enforces_euclidean_only() {
-    let mut store = VectorStore::with_capacity(DIMS, 96);
-    let mut x = 43u64;
-    for _ in 0..96 {
-        store.push(&float_vec(&mut x));
-    }
-    let cluster = SsamCluster::build(SsamConfig::default(), 2, &store);
-    let mut reference = cluster.clone();
-
-    let server = Server::start_cluster(
-        cluster,
-        ServeConfig {
-            max_linger: Duration::from_millis(5),
-            ..ServeConfig::default()
-        },
-    );
-    let handle = server.handle();
-    let err = handle
-        .submit(Request::new(OwnedQuery::Manhattan(vec![0.0; DIMS]), 4))
-        .expect_err("cluster is Euclidean-only");
-    assert!(matches!(err, ServeError::BadRequest(_)));
-
-    let q = float_vec(&mut x);
-    let resp = handle
-        .query(Request::new(OwnedQuery::Euclidean(q.clone()), 5))
-        .expect("served");
-    let serial = reference.query(&q, 5).expect("serial");
-    assert_eq!(resp.neighbors, serial.0);
-    assert!(matches!(
-        resp.account,
-        ssam_serve::DeviceAccount::Cluster(_)
-    ));
-    server.shutdown();
 }
 
 #[test]
@@ -434,7 +400,6 @@ fn served_batches_record_verified_telemetry() {
 
 #[test]
 fn panicked_batch_requests_are_reenqueued_once() {
-    use ssam_serve::ServeFaults;
     // Four requests share the panicking batch; none of them is the
     // proven culprit (the batch had company), so each gets one retry
     // and the rebuilt batch serves them all.
@@ -473,33 +438,8 @@ fn panicked_batch_requests_are_reenqueued_once() {
 }
 
 #[test]
-fn legacy_panic_on_batch_field_still_fires() {
-    // PR-4 style config: the deprecated top-level knob, no ServeFaults.
-    let server = Server::start(
-        float_device(48, 14),
-        ServeConfig {
-            max_batch: 1,
-            max_linger: Duration::from_millis(1),
-            workers: 1,
-            panic_on_batch: Some(0),
-            ..ServeConfig::default()
-        },
-    );
-    let handle = server.handle();
-    let mut x = 53u64;
-    let err = handle
-        .query(Request::new(OwnedQuery::Euclidean(float_vec(&mut x)), 4))
-        .expect_err("injected fault");
-    assert_eq!(err, ServeError::WorkerPanicked);
-    let stats = server.shutdown();
-    assert_eq!(stats.worker_panics, 1);
-    assert_eq!(stats.failed, 1);
-}
-
-#[test]
 fn degraded_coverage_surfaces_after_retry_budget() {
     use ssam_faults::FaultPlan;
-    use ssam_serve::ServeFaults;
     use std::sync::Arc;
     // Vault 0 is permanently dead: every execution loses its shard, so
     // coverage is deterministically below 1.0 on the first try and on
@@ -680,7 +620,6 @@ fn per_tenant_min_coverage_relaxes_the_global_slo() {
 #[test]
 fn relaxed_min_coverage_serves_with_honest_coverage() {
     use ssam_faults::FaultPlan;
-    use ssam_serve::ServeFaults;
     use std::sync::Arc;
     // Same dead vault, but the operator accepts partial answers: the
     // response arrives with coverage < 1.0 reported truthfully.

@@ -18,6 +18,11 @@ fn store_config(dims: usize, capacity: usize, fanout: usize) -> StoreConfig {
     c
 }
 
+/// A single-module store: the 1 × 1 sharded topology.
+fn single_store(config: StoreConfig) -> ShardedStore {
+    ShardedStore::create(ShardedStoreConfig::new(1, 1, config))
+}
+
 fn serve_config() -> ServeConfig {
     ServeConfig {
         max_batch: 4,
@@ -40,7 +45,8 @@ fn vector(i: usize, dims: usize) -> Vec<f32> {
 #[test]
 fn served_store_matches_immutable_rebuild_under_churn() {
     let dims = 6;
-    let server = Server::start_store(Store::create(store_config(dims, 8, 2)), serve_config());
+    let server =
+        Server::start_sharded_store(single_store(store_config(dims, 8, 2)), serve_config());
     let handle = server.handle();
 
     for round in 0..6 {
@@ -48,16 +54,16 @@ fn served_store_matches_immutable_rebuild_under_churn() {
         for i in 0..24 {
             let uid = (round * 16 + i) % 48;
             handle
-                .insert(uid as u32, &vector(round * 100 + i, dims))
+                .insert_routed(uid as u32, &vector(round * 100 + i, dims))
                 .expect("insert accepted");
         }
         for i in 0..4 {
             handle
-                .delete(((round * 13 + i * 5) % 48) as u32)
+                .delete_routed(((round * 13 + i * 5) % 48) as u32)
                 .expect("delete accepted");
         }
 
-        let store = server.store().expect("store backend");
+        let store = server.sharded_store().expect("store backend");
         let (reference, live) = {
             let st = store.lock().unwrap();
             let live = st.live_set();
@@ -104,8 +110,8 @@ fn served_store_matches_immutable_rebuild_under_churn() {
 /// explicit compact calls.
 #[test]
 fn maintenance_thread_compacts_in_background() {
-    let server = Server::start_store(
-        Store::create(store_config(4, 4, 2)),
+    let server = Server::start_sharded_store(
+        single_store(store_config(4, 4, 2)),
         ServeConfig {
             maintenance_interval: Duration::from_micros(100),
             ..serve_config()
@@ -113,10 +119,12 @@ fn maintenance_thread_compacts_in_background() {
     );
     let handle = server.handle();
     for i in 0..64 {
-        handle.insert(i, &vector(i as usize, 4)).expect("insert");
+        handle
+            .insert_routed(i, &vector(i as usize, 4))
+            .expect("insert");
     }
     // 16 seals landed on level 0; give maintenance a moment to merge.
-    let store = server.store().expect("store backend");
+    let store = server.sharded_store().expect("store backend");
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         {
@@ -146,9 +154,9 @@ fn maintenance_thread_compacts_in_background() {
 /// immutable backend.
 #[test]
 fn admission_rejects_unsupported_store_requests() {
-    let server = Server::start_store(Store::create(store_config(4, 8, 2)), serve_config());
+    let server = Server::start_sharded_store(single_store(store_config(4, 8, 2)), serve_config());
     let handle = server.handle();
-    handle.insert(0, &vector(0, 4)).expect("insert");
+    handle.insert_routed(0, &vector(0, 4)).expect("insert");
 
     assert!(handle
         .query(Request::new(OwnedQuery::Cosine(vector(1, 4)), 1))
@@ -156,7 +164,7 @@ fn admission_rejects_unsupported_store_requests() {
     assert!(handle
         .query(Request::new(OwnedQuery::Hamming(vec![1, 2]), 1))
         .is_err());
-    assert!(handle.insert(1, &[0.0; 3]).is_err());
+    assert!(handle.insert_routed(1, &[0.0; 3]).is_err());
     // Manhattan is a linear kernel: accepted.
     assert!(handle
         .query(Request::new(OwnedQuery::Manhattan(vector(2, 4)), 1))
@@ -171,8 +179,8 @@ fn admission_rejects_unsupported_store_requests() {
     let mut device = SsamDevice::new(SsamConfig::default());
     device.load_vectors(&flat);
     let server = Server::start(device, serve_config());
-    assert!(server.handle().insert(0, &vector(0, 4)).is_err());
-    assert!(server.handle().delete(0).is_err());
+    assert!(server.handle().insert_routed(0, &vector(0, 4)).is_err());
+    assert!(server.handle().delete_routed(0).is_err());
     server.shutdown();
 }
 
@@ -180,19 +188,19 @@ fn admission_rejects_unsupported_store_requests() {
 /// server, including the typed error for writes to an immutable one.
 #[test]
 fn tcp_write_path_round_trips() {
-    let server = Server::start_store(Store::create(store_config(4, 8, 2)), serve_config());
+    let server = Server::start_sharded_store(single_store(store_config(4, 8, 2)), serve_config());
     let net = NetServer::bind("127.0.0.1:0", server).expect("bind");
     let mut client = NetClient::connect(net.local_addr()).expect("connect");
 
     let mut last_seq = 0;
     for i in 0..12u32 {
-        let ack = client.insert(i, &vector(i as usize, 4)).expect("insert");
-        // Seal decisions consume sequence numbers too, so acks are
-        // strictly monotonic but not contiguous.
+        let ack = client
+            .insert_routed(i, &vector(i as usize, 4))
+            .expect("insert");
         assert!(ack.seq > last_seq);
         last_seq = ack.seq;
     }
-    client.delete(3).expect("delete");
+    client.delete_routed(3).expect("delete");
 
     let resp = client
         .query(&Request::new(OwnedQuery::Euclidean(vector(7, 4)), 2))
@@ -220,7 +228,7 @@ fn tcp_write_path_round_trips() {
     device.load_vectors(&flat);
     let net = NetServer::bind("127.0.0.1:0", Server::start(device, serve_config())).expect("bind");
     let mut client = NetClient::connect(net.local_addr()).expect("connect");
-    match client.insert(0, &vector(0, 4)) {
+    match client.insert_routed(0, &vector(0, 4)) {
         Err(ClientError::Remote(RemoteError::BadRequest(_))) => {}
         other => panic!("expected remote BadRequest, got {other:?}"),
     }
@@ -232,12 +240,14 @@ fn tcp_write_path_round_trips() {
 /// separately but serves consistently).
 #[test]
 fn manhattan_store_queries_match_euclidean_visibility() {
-    let server = Server::start_store(Store::create(store_config(4, 4, 2)), serve_config());
+    let server = Server::start_sharded_store(single_store(store_config(4, 4, 2)), serve_config());
     let handle = server.handle();
     for i in 0..20u32 {
-        handle.insert(i, &vector(i as usize, 4)).expect("insert");
+        handle
+            .insert_routed(i, &vector(i as usize, 4))
+            .expect("insert");
     }
-    handle.delete(11).expect("delete");
+    handle.delete_routed(11).expect("delete");
     let e = handle
         .query(Request::new(OwnedQuery::Euclidean(vector(11, 4)), 4))
         .expect("served");
@@ -320,8 +330,8 @@ fn sharded_server_routes_writes_and_surfaces_recovery() {
 }
 
 /// Routed write frames over TCP: status-10 acks carry shard + replica
-/// detail, the legacy decode path downgrades them transparently, and a
-/// whole-shard outage comes back as the typed remote refusal.
+/// detail, and a whole-shard outage comes back as the typed remote
+/// refusal.
 #[test]
 fn tcp_sharded_write_frames_round_trip() {
     let cfg = ShardedStoreConfig::new(2, 2, store_config(4, 8, 2));
@@ -335,9 +345,8 @@ fn tcp_sharded_write_frames_round_trip() {
     assert_eq!(ack.replicas_acked, 2);
     assert!(!ack.failed_over);
 
-    // A legacy client decodes the sharded frame as a plain WriteAck.
-    let plain = client.insert(6, &vector(6, 4)).expect("plain decode");
-    assert!(plain.seq > ack.seq);
+    let next = client.insert_routed(6, &vector(6, 4)).expect("routed");
+    assert!(next.seq > ack.seq);
 
     {
         let mut guard = st.lock().unwrap();
@@ -353,8 +362,9 @@ fn tcp_sharded_write_frames_round_trip() {
     assert_eq!(stats.rejected_shard_down, 1);
 }
 
-/// `DeviceMetric` unused-import guard (the reference rebuild uses it via
-/// the device query enum); keep the import meaningful.
+/// The store module itself rejects non-linear metrics (cosine) and
+/// accepts the linear ones — the store-side rule that serving
+/// admission's Euclidean/Manhattan-only check mirrors.
 #[test]
 fn store_metric_enum_is_linear_only_for_serving() {
     let mut store = Store::create(store_config(2, 4, 2));

@@ -104,18 +104,6 @@ pub struct ShardWriteAck {
     pub failed_over: bool,
 }
 
-impl ShardWriteAck {
-    /// The single-module view of this ack (seq / sealed / wal_len of
-    /// the serving replica).
-    pub fn ack(&self) -> WriteAck {
-        WriteAck {
-            seq: self.seq,
-            sealed: self.sealed,
-            wal_len: self.wal_len,
-        }
-    }
-}
-
 /// What [`ShardedStore::open`] recovered across all modules.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRecovery {

@@ -17,7 +17,7 @@ use std::time::Duration;
 use ssam::core::device::DeviceMetric;
 use ssam::core::telemetry::Telemetry;
 use ssam::serve::{OwnedQuery, Request, ServeConfig, Server};
-use ssam::store::{Store, StoreConfig};
+use ssam::store::{ShardedStore, ShardedStoreConfig, Store, StoreConfig};
 
 fn vector(i: u32, dims: usize) -> Vec<f32> {
     (0..dims)
@@ -76,7 +76,7 @@ fn main() {
         "full recovery: {} records replayed, state bit-identical",
         recovery.replayed
     );
-    let (partial, recovery) = Store::open(config, &wal[..wal.len() / 2]).expect("recover");
+    let (partial, recovery) = Store::open(config.clone(), &wal[..wal.len() / 2]).expect("recover");
     println!(
         "torn-tail recovery at half the log: {} records replayed, {} bytes \
          truncated, {} live",
@@ -86,9 +86,14 @@ fn main() {
     );
 
     // ---- Serve it online: inserts/deletes/queries through the runtime,
-    // with a maintenance thread compacting in the background.
-    let server = Server::start_store(
-        store,
+    // with a maintenance thread compacting in the background. The server
+    // takes a sharded store; one module is the 1 x 1 topology, opened
+    // here from the store's WAL.
+    let (mut served, _) =
+        ShardedStore::open(ShardedStoreConfig::new(1, 1, config), &[wal]).expect("open 1 x 1");
+    served.attach_telemetry(&sink);
+    let server = Server::start_sharded_store(
+        served,
         ServeConfig {
             workers: 2,
             max_linger: Duration::from_micros(200),
@@ -97,9 +102,11 @@ fn main() {
     );
     let handle = server.handle();
     for i in 500..600 {
-        handle.insert(i, &vector(i, dims)).expect("online insert");
+        handle
+            .insert_routed(i, &vector(i, dims))
+            .expect("online insert");
     }
-    handle.delete(123).expect("online delete");
+    handle.delete_routed(123).expect("online delete");
     let resp = handle
         .query(Request::new(OwnedQuery::Euclidean(vector(123, dims)), 3))
         .expect("online query");

@@ -11,6 +11,11 @@
 //! downed replica must change *nothing* about the answer as long as a
 //! shard-mate survives.
 //!
+//! A second property pins the degenerate 1 shard × 1 replica topology —
+//! the backend of every single-module server — against a plain
+//! [`ssam::store::Store`]: same answers, same device accounting, same
+//! fault record, and the same seal/WAL-length acks.
+//!
 //! Values are drawn from (-1, 1) for the same fixed-point-ordering
 //! precondition the other differential suites rely on.
 
@@ -132,5 +137,75 @@ proptest! {
         // answer must not move by a bit.
         sharded.kill_module((seed as usize) % (shards * REPLICAS));
         check(&mut sharded, &mut single);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A 1 × 1 sharded store is a `Store` with a router in front: fed
+    /// the same op stream, every ack agrees on `sealed` and `wal_len`
+    /// (its `seq` only has to keep increasing — the sharded store numbers
+    /// data records alone), and after every op a query agrees on
+    /// neighbors bit for bit and on the whole device/fault account.
+    #[test]
+    fn one_by_one_topology_is_bit_identical_to_store(
+        ops in prop::collection::vec(arb_op(), 1..48),
+        qseed in 0u32..17,
+    ) {
+        let mut sharded = ShardedStore::create(ShardedStoreConfig::new(1, 1, store_config()));
+        let mut single = Store::create(store_config());
+        let mut last_seq = 0u64;
+        for op in &ops {
+            let acks = match op {
+                Op::Insert(uid, v) => Some((
+                    sharded.insert(*uid, v).expect("sharded insert"),
+                    single.insert(*uid, v).expect("single insert"),
+                )),
+                Op::Delete(uid) => Some((
+                    sharded.delete(*uid).expect("sharded delete"),
+                    single.delete(*uid).expect("single delete"),
+                )),
+                Op::Seal => {
+                    sharded.seal_all();
+                    single.seal();
+                    None
+                }
+                Op::Compact => {
+                    sharded.compact_step();
+                    single.compact_step();
+                    None
+                }
+            };
+            if let Some((a, b)) = acks {
+                prop_assert_eq!(a.sealed, b.sealed);
+                prop_assert_eq!(a.wal_len, b.wal_len);
+                prop_assert!(a.seq > last_seq, "seq {} after {}", a.seq, last_seq);
+                last_seq = a.seq;
+            }
+
+            let live = sharded.live_len();
+            prop_assert_eq!(live, single.live_len());
+            let q: Vec<f32> = (0..DIMS)
+                .map(|d| (((qseed * 11 + d as u32 * 5) % 17) as f32 - 8.0) / 9.0)
+                .collect();
+            for metric in [DeviceMetric::Euclidean, DeviceMetric::Manhattan] {
+                // k = 2 × live ranks the whole live set plus slack.
+                for k in [1usize, 2 * live.max(1)] {
+                    let a = sharded.query(&q, metric, k).expect("sharded query");
+                    let b = single.query(&q, metric, k).expect("single query");
+                    prop_assert_eq!(a.neighbors.len(), b.neighbors.len());
+                    for (x, y) in a.neighbors.iter().zip(&b.neighbors) {
+                        prop_assert_eq!(x.id, y.id);
+                        prop_assert_eq!(x.dist.to_bits(), y.dist.to_bits());
+                    }
+                    prop_assert_eq!(a.device_seconds.to_bits(), b.device_seconds.to_bits());
+                    prop_assert_eq!(a.energy_mj.to_bits(), b.energy_mj.to_bits());
+                    prop_assert_eq!(a.segments_scanned, b.segments_scanned);
+                    prop_assert_eq!(a.suppressed, b.suppressed);
+                    prop_assert_eq!(&a.faults, &b.faults);
+                }
+            }
+        }
     }
 }
