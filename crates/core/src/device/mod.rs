@@ -225,11 +225,9 @@ pub struct SsamDevice {
     kernel_cache: HashMap<(DeviceMetric, usize), Arc<Kernel>>,
     telemetry: Option<Telemetry>,
     faults: Option<Arc<FaultPlan>>,
-    /// Disambiguates fault-key streams across device clones (cluster
-    /// module index, serve worker index).
+    /// Disambiguates fault-key streams across device clones (serve
+    /// worker index, store segment id).
     fault_scope: u64,
-    /// Retry generation: a re-executed batch samples fresh fault outcomes.
-    fault_attempt: u64,
     /// Monotonic query counter keying per-(query, vault) fault decisions.
     query_seq: u64,
 }
@@ -255,7 +253,6 @@ impl SsamDevice {
             telemetry: None,
             faults: None,
             fault_scope: 0,
-            fault_attempt: 0,
             query_seq: 0,
         }
     }
@@ -272,16 +269,10 @@ impl SsamDevice {
         self.faults.as_ref()
     }
 
-    /// Sets the fault key scope (cluster module index, serve worker index)
+    /// Sets the fault key scope (serve worker index, store segment id)
     /// so device clones sample decorrelated fault streams.
     pub fn set_fault_scope(&mut self, scope: u64) {
         self.fault_scope = scope;
-    }
-
-    /// Sets the retry generation: re-running the same queries at a higher
-    /// attempt samples fresh (but still deterministic) fault outcomes.
-    pub fn set_fault_attempt(&mut self, attempt: u64) {
-        self.fault_attempt = attempt;
     }
 
     /// The next query sequence number (how many queries this device has
@@ -583,7 +574,7 @@ impl SsamDevice {
         let stage_seconds = stage_start.elapsed().as_secs_f64();
 
         // Sample the per-(query, vault) fault grid up front, keyed by
-        // `(seed, scope, query_seq, vault, attempt)` so any run is
+        // `(seed, scope, query_seq, vault)` so any run is
         // bit-reproducible. `None` — no plan attached, or nothing fired —
         // keeps execution on the legacy fault-free path, so a zero-fault
         // plan stays bit-identical to no plan at all.
@@ -593,14 +584,7 @@ impl SsamDevice {
             let grid: Vec<Vec<VaultFault>> = (0..queries.len())
                 .map(|qi| {
                     (0..self.shards.len())
-                        .map(|v| {
-                            plan.vault_fault(
-                                self.fault_scope,
-                                base_seq + qi as u64,
-                                v as u64,
-                                self.fault_attempt,
-                            )
-                        })
+                        .map(|v| plan.vault_fault(self.fault_scope, base_seq + qi as u64, v as u64))
                         .collect()
                 })
                 .collect();

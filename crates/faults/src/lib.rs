@@ -5,10 +5,11 @@
 //! [`RecoveryPolicy`] describes *how the stack responds* (bounded link
 //! retries, capped exponential backoff for module failover, degradation and
 //! probing thresholds). Every fault decision is a pure function of
-//! `(seed, domain, scope, query_seq, unit, attempt)` via a splitmix64-style
-//! hash, so a run is bit-reproducible: re-executing the same plan over the
-//! same queries injects exactly the same faults, and bumping `attempt` gives
-//! a retry an independent (but still deterministic) outcome.
+//! `(seed, domain, scope, seq, unit)` — plus the retry `attempt` for module
+//! outages — via a splitmix64-style hash, so a run is bit-reproducible:
+//! re-executing the same plan over the same queries injects exactly the
+//! same faults, and bumping `attempt` gives a module retry an independent
+//! (but still deterministic) outcome.
 //!
 //! The [`FaultRecord`] counters travel with telemetry records and obey
 //! closure invariants checked by [`FaultRecord::check_closure`]: every
@@ -26,7 +27,7 @@ fn mix(mut z: u64) -> u64 {
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 // Hash domains keep the independent fault channels decorrelated even when
-// they share the same (scope, seq, unit, attempt) key.
+// they share the same (scope, seq, unit) key.
 const DOMAIN_BIT_EVENTS: u64 = 1;
 const DOMAIN_BIT_KIND: u64 = 2;
 const DOMAIN_BIT_VICTIM: u64 = 3;
@@ -41,16 +42,17 @@ const DOMAIN_CRASH: u64 = 9;
 /// rates so recovery behavior can be tuned (or exercised) independently.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Module failover attempts after the initial try (cluster level).
+    /// Retries of a module touch after the initial try (sharded-store
+    /// reads and writes).
     pub max_module_retries: u32,
     /// Base of the capped exponential backoff between module retries, seconds.
     pub backoff_base: f64,
     /// Backoff ceiling, seconds.
     pub backoff_cap: f64,
-    /// Consecutive faulty batches after which a module is marked degraded
-    /// and taken out of dispatch.
+    /// Consecutive missed touches after which a module is marked degraded
+    /// and routed around on reads.
     pub degrade_after: u32,
-    /// A degraded module is probed once every this many batches to detect
+    /// A degraded module is probed once every this many reads to detect
     /// recovery.
     pub probe_interval: u64,
     /// How many times ssam-serve re-enqueues a request whose batch failed
@@ -82,7 +84,7 @@ impl RecoveryPolicy {
 /// A seeded description of the faults to inject. All rates are per
 /// *opportunity*: `bit_flip_rate` is expected ECC events per (query, vault)
 /// scan, `crc_corruption_rate` is per link-transfer attempt, the outage rates
-/// are per (query, vault) / (batch, module), `straggler_rate` per
+/// are per (query, vault) / (module touch attempt), `straggler_rate` per
 /// (query, vault).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -104,7 +106,8 @@ pub struct FaultPlan {
     pub vault_outage_rate: f64,
     /// Vaults that are always out (hard failures).
     pub dead_vaults: Vec<u32>,
-    /// Probability a module is unreachable for a whole batch attempt.
+    /// Probability a module is unreachable for one touch attempt (a
+    /// sharded-store read or write).
     pub module_outage_rate: f64,
     /// Modules that are always out.
     pub dead_modules: Vec<u32>,
@@ -112,7 +115,7 @@ pub struct FaultPlan {
     pub straggler_rate: f64,
     /// Multiplicative slowdown applied to a straggling vault's time.
     pub straggler_slowdown: f64,
-    /// Recovery knobs used by the cluster and serve layers.
+    /// Recovery knobs used by the sharded-store and serve layers.
     pub policy: RecoveryPolicy,
 }
 
@@ -223,14 +226,16 @@ impl FaultPlan {
 
     /// Sample every fault channel for one (query, vault) scan.
     ///
-    /// `scope` disambiguates otherwise-identical key streams (cluster module
-    /// index, serve worker index); `attempt` gives retries fresh outcomes.
-    pub fn vault_fault(&self, scope: u64, query_seq: u64, vault: u64, attempt: u64) -> VaultFault {
+    /// `scope` disambiguates otherwise-identical key streams (serve worker
+    /// index, store segment id).
+    pub fn vault_fault(&self, scope: u64, query_seq: u64, vault: u64) -> VaultFault {
         let mut f = VaultFault {
             slowdown: 1.0,
             ..VaultFault::default()
         };
-        let key_seq = query_seq.wrapping_mul(0x1_0001).wrapping_add(attempt);
+        // The key scheme of `module_outage` at attempt 0, which keeps
+        // seeded fault streams stable.
+        let key_seq = query_seq.wrapping_mul(0x1_0001);
         if self.dead_vaults.contains(&(vault as u32))
             || (self.vault_outage_rate > 0.0
                 && self.uniform(DOMAIN_VAULT_OUT, scope, key_seq, vault, 0)
@@ -278,7 +283,8 @@ impl FaultPlan {
         f
     }
 
-    /// Is the whole module unreachable for this batch attempt?
+    /// Is the whole module unreachable for this touch attempt? `attempt`
+    /// gives each retry a fresh (but still deterministic) outcome.
     pub fn module_outage(&self, scope: u64, batch_seq: u64, module: u64, attempt: u64) -> bool {
         if self.dead_modules.contains(&(module as u32)) {
             return true;
@@ -502,20 +508,21 @@ pub struct FaultRecord {
     pub link_failures: u64,
     /// (query, vault) scans skipped because the vault was unreachable.
     pub vault_outages: u64,
-    /// Module-batch attempts that found the module unreachable.
+    /// Module touch attempts that found the module unreachable.
     pub module_outages: u64,
     /// (query, vault) scans that ran at a straggler slowdown.
     pub stragglers: u64,
-    /// Module batches recovered by failover to a healthy clone.
+    /// Shard reads recovered by failover to a standby replica.
     pub failed_over: u64,
     /// Lost units by terminal cause (units also listed in `lost_units`).
     pub lost_ecc: u64,
     pub lost_link: u64,
     pub lost_outage: u64,
     pub lost_module: u64,
-    /// Ids of lost units: vault ids at device level, module ids at cluster
-    /// level (cluster records also fold in the modules' own lost vaults via
-    /// the cause counters).
+    /// Ids of lost units: vault ids at device level, shard ids for the
+    /// shards a sharded-store read could not reach (those records also
+    /// fold in the serving replicas' own lost units via the cause
+    /// counters).
     pub lost_units: Vec<u32>,
     /// Candidate vectors actually scanned for the query (or batch).
     pub covered_vectors: u64,
@@ -661,23 +668,22 @@ mod tests {
         assert!(plan.is_zero());
         for seq in 0..64 {
             for vault in 0..32 {
-                assert!(plan.vault_fault(0, seq, vault, 0).is_trivial());
+                assert!(plan.vault_fault(0, seq, vault).is_trivial());
             }
             assert!(!plan.module_outage(0, seq, seq % 4, 0));
         }
     }
 
     #[test]
-    fn sampling_is_deterministic_and_attempt_sensitive() {
+    fn sampling_is_deterministic_and_scope_sensitive() {
         let plan = FaultPlan::chaos(42);
-        let a = plan.vault_fault(3, 17, 5, 0);
-        let b = plan.vault_fault(3, 17, 5, 0);
+        let a = plan.vault_fault(3, 17, 5);
+        let b = plan.vault_fault(3, 17, 5);
         assert_eq!(a, b);
-        // Across many keys, attempt 1 must differ from attempt 0 somewhere.
-        let differs = (0..256).any(|seq| {
-            (0..32).any(|v| plan.vault_fault(0, seq, v, 0) != plan.vault_fault(0, seq, v, 1))
-        });
-        assert!(differs, "retry attempts never changed the outcome");
+        // Across many keys, scope 1 must differ from scope 0 somewhere.
+        let differs = (0..256)
+            .any(|seq| (0..32).any(|v| plan.vault_fault(0, seq, v) != plan.vault_fault(1, seq, v)));
+        assert!(differs, "fault scopes never changed the outcome");
     }
 
     #[test]
@@ -709,7 +715,7 @@ mod tests {
         let a = FaultPlan::chaos(1);
         let b = FaultPlan::chaos(2);
         let differs = (0..256)
-            .any(|seq| (0..32).any(|v| a.vault_fault(0, seq, v, 0) != b.vault_fault(0, seq, v, 0)));
+            .any(|seq| (0..32).any(|v| a.vault_fault(0, seq, v) != b.vault_fault(0, seq, v)));
         assert!(differs);
     }
 
@@ -729,7 +735,7 @@ mod tests {
         let mut flips = 0u64;
         let mut stragglers = 0u64;
         for seq in 0..n {
-            let f = plan.vault_fault(0, seq, seq % 32, 0);
+            let f = plan.vault_fault(0, seq, seq % 32);
             if f.outage {
                 outages += 1;
                 continue;
@@ -752,8 +758,8 @@ mod tests {
             ..FaultPlan::default()
         };
         for seq in 0..32 {
-            assert!(plan.vault_fault(0, seq, 7, 0).outage);
-            assert!(!plan.vault_fault(0, seq, 6, 0).outage);
+            assert!(plan.vault_fault(0, seq, 7).outage);
+            assert!(!plan.vault_fault(0, seq, 6).outage);
         }
     }
 
@@ -768,7 +774,7 @@ mod tests {
         let mut saw_failure = false;
         let mut saw_recovery = false;
         for seq in 0..512 {
-            let f = plan.vault_fault(0, seq, 0, 0);
+            let f = plan.vault_fault(0, seq, 0);
             assert!(f.crc_corruptions <= plan.max_link_retries + 1);
             if f.link_failed {
                 assert_eq!(f.crc_corruptions, plan.max_link_retries + 1);

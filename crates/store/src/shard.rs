@@ -1,11 +1,12 @@
 //! Sharded, replicated mutable store: N store shards × R replica
 //! modules with failover ingest and exact scatter-gather reads.
 //!
-//! The single-module [`Store`] (PR 9) has no survival story when its
-//! module dies mid-ingest: one WAL, one segment set. This module scales
-//! it out the way the paper scales the immutable path across a daisy
-//! chain of SSAM modules, and makes module outages a first-class
-//! recovery drill:
+//! The single-module [`Store`] has no survival story when its module
+//! dies mid-ingest: one WAL, one segment set. This module scales it out
+//! the way the paper scales the immutable path across a daisy chain of
+//! SSAM modules (§III-A), and adds what the paper leaves out: module
+//! outages as a first-class recovery drill. It is the repository's only
+//! module-level failover and health machine:
 //!
 //! * **Placement** — uids hash onto shards through the *existing* HMC
 //!   interleaving math: [`AddressMap::BlockInterleave`] with a block of
@@ -21,10 +22,11 @@
 //!   shard executes the query; per-shard exact top-k merge through the
 //!   shared `(distance, id)` order is bit-identical to a single-module
 //!   store over the union live set. Downed replicas degrade-and-reprobe
-//!   with capped backoff, mirroring `SsamCluster`'s `degrade_after` /
-//!   `probe_interval` health machine. A shard with *no* reachable
-//!   replica is reported as lost coverage — honest per-query coverage,
-//!   like the immutable cluster path.
+//!   with capped backoff under the plan's [`RecoveryPolicy`]
+//!   (`degrade_after` consecutive misses degrade a module; a degraded
+//!   module is probed once every `probe_interval` reads). A shard with
+//!   *no* reachable replica is reported as lost coverage — honest
+//!   per-query coverage.
 //! * **Recovery** — [`ShardedStore::open`] recovers each module from
 //!   its own WAL prefix (any vector of prefixes: crashes tear each
 //!   module independently via [`CrashSpec::torn_tail_for`]), then runs
@@ -54,8 +56,8 @@ use crate::{
 };
 
 /// Outage-sampling scope for the sharded write path (distinct from the
-/// cluster's scope 0 and the read scope below, so the channels are
-/// decorrelated under one plan).
+/// read scope below, so the two channels are decorrelated under one
+/// plan; the values are fixed so seeded runs replay exactly).
 const WRITE_OUTAGE_SCOPE: u64 = 0x5353_5457; // "SSTW"
 /// Outage-sampling scope for the sharded read path.
 const READ_OUTAGE_SCOPE: u64 = 0x5353_5452; // "SSTR"
@@ -124,7 +126,7 @@ pub struct ShardRecovery {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WriteFaultLedger {
     /// Replica write attempts that found the module unreachable
-    /// (including retries, mirroring the cluster's outage tally).
+    /// (including retries).
     pub write_outages: u64,
     /// Writes whose primary replica was down but that landed on a
     /// standby replica's WAL.
@@ -168,7 +170,8 @@ impl WriteFaultLedger {
     }
 }
 
-/// Health machine per module, mirroring the cluster's.
+/// Health machine per module: degrade after `degrade_after` consecutive
+/// misses, then reprobe every `probe_interval` reads.
 #[derive(Debug, Clone, Default)]
 struct ModuleHealth {
     /// Consecutive touches (read or write) that found the module down.
@@ -209,7 +212,7 @@ pub struct ShardedStore {
     shard_live: Vec<BTreeSet<u32>>,
     faults: Option<Arc<FaultPlan>>,
     telemetry: Option<Telemetry>,
-    /// Read batch counter keying outage samples, like the cluster's.
+    /// Read counter keying the read path's outage samples.
     read_batches: u64,
     write_ledger: WriteFaultLedger,
     recovery: Option<ShardRecovery>,
@@ -471,8 +474,8 @@ impl ShardedStore {
     /// Availability of module `m` for one touch: forced outages fail
     /// immediately; otherwise the fault plan's module-outage channel is
     /// sampled with up to `max_module_retries` retries under capped
-    /// exponential backoff (accumulated into `backoff`), mirroring the
-    /// cluster's failover loop.
+    /// exponential backoff (accumulated into `backoff`); each retry bumps
+    /// the sampled attempt.
     fn module_available(
         &self,
         m: usize,

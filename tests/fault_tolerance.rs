@@ -15,16 +15,19 @@
 //! 3. **Zero-fault transparency** — attaching a plan that injects
 //!    nothing is bit-identical to running with no plan at all: same
 //!    neighbor ids, bitwise-equal distances and modeled seconds.
+//!
+//! The sharded-store tests at the end carry (2) up to module outages:
+//! replica failover, lost shards, and the degrade-and-probe health cycle.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ssam::core::device::cluster::SsamCluster;
-use ssam::core::device::{DeviceQuery, SsamConfig, SsamDevice};
+use ssam::core::device::{DeviceMetric, DeviceQuery, SsamConfig, SsamDevice};
 use ssam::core::telemetry::Telemetry;
-use ssam::faults::FaultPlan;
+use ssam::faults::{FaultPlan, FaultRecord, RecoveryPolicy};
 use ssam::knn::VectorStore;
+use ssam::store::{ShardedStore, ShardedStoreConfig, StoreConfig};
 
 const DIMS: usize = 8;
 
@@ -217,90 +220,111 @@ proptest! {
     }
 }
 
-/// Cluster-level chaos: module outages fail over to replicas (or are
-/// surfaced as lost), the cluster-scope record closes, backoff shows up
-/// as recovery time, and the telemetry sink stays clean.
+fn sharded(shards: usize, replicas: usize, full: &VectorStore) -> ShardedStore {
+    let mut config = StoreConfig::new(DIMS);
+    config.memtable_capacity = 16;
+    config.device.fast_path = true;
+    let mut s = ShardedStore::create(ShardedStoreConfig::new(shards, replicas, config));
+    for uid in 0..full.len() as u32 {
+        s.insert(uid, full.get(uid)).expect("fault-free ingest");
+    }
+    s
+}
+
+fn read(s: &mut ShardedStore, x: &mut u64) -> FaultRecord {
+    let q = float_vec(x);
+    s.query(&q, DeviceMetric::Euclidean, 4)
+        .expect("sharded read")
+        .faults
+}
+
+/// Sharded read chaos: module outages fail a shard over to its standby
+/// replica (or lose the shard's coverage), every read's record closes,
+/// outage retries show up as recovery time, and the telemetry sink stays
+/// clean.
 #[test]
-fn cluster_chaos_accounting_closes() {
-    let full = store(256, 11);
-    let mut cluster = SsamCluster::build(SsamConfig::default(), 4, &full);
+fn sharded_read_chaos_accounting_closes() {
+    let full = store(128, 11);
+    let mut s = sharded(4, 2, &full);
     let sink = Telemetry::default();
-    cluster.attach_telemetry(&sink);
-    cluster.set_fault_plan(Some(Arc::new(FaultPlan {
+    s.attach_telemetry(&sink);
+    let plan = FaultPlan {
         seed: 17,
         module_outage_rate: 0.35,
         bit_flip_rate: 0.5,
         crc_corruption_rate: 0.1,
         ..FaultPlan::default()
-    })));
+    };
+    let (policy, link_penalty) = (plan.policy, plan.link_retry_penalty);
+    s.set_fault_plan(Some(Arc::new(plan)));
 
     let mut x = 23u64;
     let mut saw_failover = false;
-    let mut saw_module_loss = false;
-    for round in 0..12 {
-        let queries: Vec<Vec<f32>> = (0..2).map(|_| float_vec(&mut x)).collect();
-        let qs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        let per_query = cluster.query_batch(&qs, 4).expect("cluster chaos batch");
-        for (neighbors, timing) in &per_query {
-            timing.faults.check_closure().expect("cluster closure");
-            assert!(timing.recovery_seconds >= 0.0);
-            if timing.faults.failed_over > 0 {
-                saw_failover = true;
-                assert!(
-                    timing.recovery_seconds > 0.0,
-                    "failover without backoff charged (round {round})"
-                );
-            }
-            if timing.faults.lost_module > 0 {
-                saw_module_loss = true;
-                assert!(timing.coverage() < 1.0);
-            }
-            assert!(neighbors.len() <= 4);
+    let mut saw_shard_loss = false;
+    for round in 0..48 {
+        let faults = read(&mut s, &mut x);
+        faults.check_closure().expect("sharded read closure");
+        if faults.module_outages > 0 {
+            // A sampled outage is always retried at least once, so at
+            // least one backoff step sits on top of the time the link
+            // retransmissions charged.
+            let backoff = faults.recovery_seconds - faults.crc_corruptions as f64 * link_penalty;
+            assert!(
+                backoff > 0.5 * policy.backoff_base,
+                "module outage without backoff charged (round {round})"
+            );
+        }
+        saw_failover |= faults.failed_over > 0;
+        if faults.lost_module > 0 {
+            saw_shard_loss = true;
+            assert!(faults.coverage() < 1.0);
         }
     }
     assert!(
-        saw_failover || saw_module_loss,
-        "chaos rates never produced a module event in 12 batches — plan too weak"
+        saw_failover && saw_shard_loss,
+        "chaos rates never produced both a failover and a lost shard in 48 reads \
+         (failover {saw_failover}, loss {saw_shard_loss}) — plan too weak"
     );
     assert!(
         sink.violations().is_empty(),
-        "cluster telemetry violations: {:?}",
+        "sharded telemetry violations: {:?}",
         sink.violations()
     );
 }
 
-/// Degraded modules stop receiving work and are probed back to health.
+/// A downed replica is degraded after `degrade_after` missed reads, is
+/// routed around without being sampled, and is probed back to health.
 #[test]
-fn cluster_degrades_and_recovers_modules() {
-    let full = store(128, 5);
-    let mut cluster = SsamCluster::build(SsamConfig::default(), 2, &full);
-    // Module 1 permanently dead: every batch fails over and exhausts
-    // retries, so after `degrade_after` consecutive faulted batches the
-    // cluster marks it degraded and routes around it.
-    cluster.set_fault_plan(Some(Arc::new(FaultPlan {
-        seed: 3,
-        dead_modules: vec![1],
-        ..FaultPlan::default()
-    })));
-
+fn sharded_replica_degrades_and_is_probed_back() {
+    let full = store(64, 5);
+    let mut s = sharded(2, 2, &full);
+    let policy = RecoveryPolicy::default();
     let mut x = 31u64;
-    let degrade_after = FaultPlan::default().policy.degrade_after as usize;
-    for _ in 0..degrade_after {
-        let q = float_vec(&mut x);
-        let per_query = cluster.query_batch(&[&q], 4).expect("batch");
-        let timing = &per_query[0].1;
-        assert_eq!(timing.faults.lost_module, 1);
-        assert!(timing.coverage() < 1.0);
-    }
-    assert_eq!(cluster.degraded_modules(), vec![false, true]);
 
-    // While degraded, most batches skip the module entirely (still
-    // partial coverage, but no retry storm); every probe_interval-th
-    // batch re-probes it, fails again, and keeps it degraded.
-    for _ in 0..4 {
-        let q = float_vec(&mut x);
-        let per_query = cluster.query_batch(&[&q], 4).expect("batch");
-        assert!(per_query[0].1.coverage() < 1.0);
+    // Shard 0's primary (module 0) is down: each read samples it, misses,
+    // and fails the shard over to its replica at full coverage.
+    s.kill_module(0);
+    for _ in 0..policy.degrade_after {
+        let faults = read(&mut s, &mut x);
+        assert_eq!(faults.module_outages, 1);
+        assert_eq!(faults.failed_over, 1);
+        assert_eq!(faults.coverage(), 1.0);
     }
-    assert_eq!(cluster.degraded_modules(), vec![false, true]);
+    assert_eq!(s.degraded_modules(), vec![true, false, false, false]);
+
+    // Revived but still degraded: the next `probe_interval - 1` reads
+    // route around module 0 without touching it.
+    s.revive_module(0);
+    for _ in 1..policy.probe_interval {
+        let faults = read(&mut s, &mut x);
+        assert_eq!(faults.module_outages, 0);
+        assert_eq!(faults.failed_over, 1);
+    }
+    assert_eq!(s.degraded_modules(), vec![true, false, false, false]);
+
+    // The probe reaches the primary again and clears its health.
+    let faults = read(&mut s, &mut x);
+    assert_eq!(faults.module_outages, 0);
+    assert_eq!(faults.failed_over, 0);
+    assert_eq!(s.degraded_modules(), vec![false; 4]);
 }
