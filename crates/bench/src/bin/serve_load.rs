@@ -52,7 +52,9 @@
 //! serve_load [--seconds N] [--concurrency 1,4,16,64] [--workers N]
 //!            [--max-batch N] [--linger-us N] [--scale F] [--k N]
 //!            [--rate QPS] [--timeout-ms N] [--tenants SPEC]
-//!            [--faults SPEC] [--json PATH] [--telemetry PATH] [--csv]
+//!            [--min-jain F] [--mutate SPEC] [--memtable N]
+//!            [--shards N] [--replicas R] [--faults SPEC]
+//!            [--json PATH] [--telemetry PATH] [--csv]
 //! ```
 
 use std::cmp::Reverse;
@@ -68,7 +70,7 @@ use ssam_core::device::{DeviceQuery, SsamConfig, SsamDevice};
 use ssam_core::telemetry::Telemetry;
 use ssam_datasets::json::{self, Value};
 use ssam_datasets::PaperDataset;
-use ssam_faults::FaultPlan;
+use ssam_faults::{FaultPlan, FaultRecord};
 use ssam_knn::VectorStore;
 use ssam_serve::qos::jain_index;
 use ssam_serve::{
@@ -96,8 +98,6 @@ struct Args {
     json: String,
     telemetry: Option<String>,
     csv: bool,
-    no_opt: bool,
-    fast_path: bool,
 }
 
 fn parse_args() -> Args {
@@ -121,8 +121,6 @@ fn parse_args() -> Args {
         json: "BENCH_serve.json".to_string(),
         telemetry: None,
         csv: false,
-        no_opt: false,
-        fast_path: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -172,18 +170,14 @@ fn parse_args() -> Args {
             "--json" => a.json = take(&mut i, "--json"),
             "--telemetry" => a.telemetry = Some(take(&mut i, "--telemetry")),
             "--csv" => a.csv = true,
-            "--no-opt" => a.no_opt = true,
-            "--fast-path" => a.fast_path = true,
             "-h" | "--help" => {
                 println!(
                     "usage: serve_load [--seconds N] [--concurrency 1,4,16,64] [--workers N]\n\
                      \x20                 [--max-batch N] [--linger-us N] [--scale F] [--k N]\n\
                      \x20                 [--rate QPS] [--timeout-ms N] [--tenants SPEC]\n\
-                     \x20                 [--min-jain F] [--faults SPEC] [--json PATH]\n\
-                     \x20                 [--telemetry PATH] [--csv] [--no-opt] [--fast-path]\n\
-                     \x20  --no-opt stages raw (unoptimized) kernel programs for A/B runs\n\
-                     \x20  --fast-path uses the validated analytic executor (bit-identical\n\
-                     \x20  results, no per-instruction simulation) for A/B runs\n\
+                     \x20                 [--min-jain F] [--mutate SPEC] [--memtable N]\n\
+                     \x20                 [--shards N] [--replicas R] [--faults SPEC]\n\
+                     \x20                 [--json PATH] [--telemetry PATH] [--csv]\n\
                      \x20  --tenants name:rate=R[,weight=W][,tier=T][,limit=L][,burst=B]\n\
                      \x20            [,timeout_ms=MS][,min_cov=F][,storm];... runs the open\n\
                      \x20  loop as a multi-tenant QoS harness (storm confines --faults to\n\
@@ -232,9 +226,9 @@ fn process_cpu_seconds() -> Option<f64> {
 
 /// Latency distribution + rates over one measured window.
 ///
-/// Three throughputs are reported. `qps` is host wall-clock — on this
-/// cycle-level simulator it is dominated by simulation cost and by
-/// whatever else shares the machine, so it mostly measures the harness.
+/// Three throughputs are reported. `qps` is host wall-clock — it is
+/// dominated by executor cost and by whatever else shares the machine,
+/// so it mostly measures the harness.
 /// `cpu_qps` divides by process CPU time, the stable measure of host
 /// work per query (where batching's amortization of staging and
 /// processing-unit setup shows). `device_qps` divides by *modeled
@@ -269,12 +263,7 @@ impl Measured {
     }
 
     fn percentile(&self, q: f64) -> f64 {
-        if self.latencies_ms.is_empty() {
-            return f64::NAN;
-        }
-        let mut sorted = self.latencies_ms.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        sorted[percentile_rank(sorted.len(), q)]
+        percentile_of(&self.latencies_ms, q)
     }
 }
 
@@ -743,11 +732,15 @@ fn percentile_of(samples: &[f64], q: f64) -> f64 {
     tail_percentile(samples, &[], q)
 }
 
-/// JSON-safe percentile: the serializer rejects non-finite floats, so an
-/// empty sample set reports 0.0 (its count field disambiguates).
+/// JSON-safe float: the serializer rejects non-finite values, so the
+/// NaN percentile or rate of an empty sample set reports 0.0 (its count
+/// field disambiguates).
+fn finite_json(x: f64) -> Value {
+    json::number_f64(if x.is_finite() { x } else { 0.0 })
+}
+
 fn percentile_json(samples: &[f64], q: f64) -> Value {
-    let p = percentile_of(samples, q);
-    json::number_f64(if p.is_finite() { p } else { 0.0 })
+    finite_json(percentile_of(samples, q))
 }
 
 /// The `--mutate` harness: an open-loop Poisson stream where each
@@ -775,12 +768,6 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     let sink = Telemetry::new();
 
     let mut store_config = StoreConfig::new(dims);
-    store_config.device = SsamConfig {
-        vector_length: 4,
-        optimize_kernels: !args.no_opt,
-        fast_path: args.fast_path,
-        ..SsamConfig::default()
-    };
     // Small enough that a few seconds of writes seal repeatedly, big
     // enough that the memtable amortizes device staging.
     store_config.memtable_capacity = args.memtable.unwrap_or((n / 8).max(64));
@@ -811,6 +798,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         args.replicas,
         store_config,
     ));
+    let device_config = store.config().store.device;
     store.attach_telemetry(&sink);
     for i in 0..n as u32 {
         store
@@ -829,18 +817,13 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     println!(
         "serve-load --mutate: {} initial vectors ({dims}-d), k={k}, \
          memtable {memtable_capacity}, fanout 4, {} q/s offered \
-         (insert {:.0}%, delete {:.0}%, read {:.0}%), executor={}, \
+         (insert {:.0}%, delete {:.0}%, read {:.0}%), \
          {} shards x {} replicas ({} modules)",
         n,
         fmt(rate),
         spec.insert * 100.0,
         spec.delete * 100.0,
         (1.0 - spec.insert - spec.delete) * 100.0,
-        if args.fast_path {
-            "analytic fast path"
-        } else {
-            "cycle simulator"
-        },
         args.shards,
         args.replicas,
         args.shards * args.replicas
@@ -1177,21 +1160,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     println!("{sharded_line}");
 
     let server_stats = Arc::into_inner(server).expect("sole owner").shutdown();
-
-    let violations = sink.violations();
-    assert!(
-        violations.is_empty(),
-        "mutate-path accounting violations: {violations:#?}"
-    );
-    let fault_totals = sink.fault_totals();
-    fault_totals
-        .check_closure()
-        .unwrap_or_else(|e| panic!("fault accounting does not close: {e}"));
-    println!("telemetry: {} verified records, 0 violations", sink.len());
-    if let Some(path) = &args.telemetry {
-        sink.write_jsonl(std::path::Path::new(path))
-            .unwrap_or_else(|e| panic!("cannot write telemetry JSONL to {path}: {e}"));
-    }
+    let (fault_totals, telemetry_json) = audit_telemetry(&sink, args.telemetry.as_deref());
 
     let m = Measured {
         served: read_ms.len() as u64,
@@ -1284,36 +1253,16 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     root.insert("workers".into(), json::number_usize(args.workers));
     root.insert("max_batch".into(), json::number_usize(args.max_batch));
     root.insert("seconds".into(), json::number_f64(args.seconds));
-    root.insert("fast_path".into(), Value::Bool(args.fast_path));
+    root.insert("fast_path".into(), Value::Bool(device_config.fast_path));
     root.insert(
         "open_loop".into(),
         measured_object(&m, &[("offered_qps", json::number_f64(rate))]),
     );
     root.insert("mutate".into(), Value::Object(mutate_o));
     if let Some(plan) = &fault_plan {
-        let mut f = BTreeMap::new();
-        f.insert("spec".into(), Value::String(args.faults.clone().unwrap()));
-        f.insert("seed".into(), json::number_u64(plan.seed));
-        f.insert("injected".into(), json::number_u64(fault_totals.injected()));
-        f.insert(
-            "module_outages".into(),
-            json::number_u64(fault_totals.module_outages),
-        );
-        f.insert(
-            "failed_over".into(),
-            json::number_u64(fault_totals.failed_over),
-        );
-        f.insert("coverage".into(), json::number_f64(fault_totals.coverage()));
-        f.insert(
-            "recovery_seconds".into(),
-            json::number_f64(fault_totals.recovery_seconds),
-        );
-        root.insert("faults".into(), Value::Object(f));
+        root.insert("faults".into(), faults_json(args, plan, &fault_totals));
     }
-    let mut tele_o = BTreeMap::new();
-    tele_o.insert("records".into(), json::number_usize(sink.len()));
-    tele_o.insert("violations".into(), json::number_usize(0));
-    root.insert("telemetry".into(), Value::Object(tele_o));
+    root.insert("telemetry".into(), telemetry_json);
 
     let payload = json::to_string(&Value::Object(root));
     std::fs::write(&args.json, payload + "\n")
@@ -1330,16 +1279,73 @@ fn queries_or_train(train: &VectorStore, i: u32) -> &[f32] {
 fn measured_object(m: &Measured, extra: &[(&str, Value)]) -> Value {
     let mut o = BTreeMap::new();
     o.insert("served".into(), json::number_u64(m.served));
-    o.insert("qps".into(), json::number_f64(m.qps()));
-    o.insert("cpu_qps".into(), json::number_f64(m.cpu_qps()));
-    o.insert("device_qps".into(), json::number_f64(m.device_qps()));
-    o.insert("p50_ms".into(), json::number_f64(m.percentile(0.50)));
-    o.insert("p95_ms".into(), json::number_f64(m.percentile(0.95)));
-    o.insert("p99_ms".into(), json::number_f64(m.percentile(0.99)));
+    o.insert("qps".into(), finite_json(m.qps()));
+    o.insert("cpu_qps".into(), finite_json(m.cpu_qps()));
+    o.insert("device_qps".into(), finite_json(m.device_qps()));
+    o.insert("p50_ms".into(), finite_json(m.percentile(0.50)));
+    o.insert("p95_ms".into(), finite_json(m.percentile(0.95)));
+    o.insert("p99_ms".into(), finite_json(m.percentile(0.99)));
     for (k, v) in extra {
         o.insert((*k).to_string(), v.clone());
     }
     Value::Object(o)
+}
+
+/// End-of-run telemetry audit: any retained `verify_record` violation
+/// or an unclosed fault ledger fails the run. Writes the JSONL export
+/// when `--telemetry` asks for it and returns the aggregate fault record
+/// with the report's `telemetry` object.
+fn audit_telemetry(sink: &Telemetry, jsonl: Option<&str>) -> (FaultRecord, Value) {
+    let violations = sink.violations();
+    assert!(
+        violations.is_empty(),
+        "telemetry accounting violations: {violations:#?}"
+    );
+    let totals = sink.fault_totals();
+    totals
+        .check_closure()
+        .unwrap_or_else(|e| panic!("fault accounting does not close: {e}"));
+    println!("telemetry: {} verified records, 0 violations", sink.len());
+    if let Some(path) = jsonl {
+        sink.write_jsonl(std::path::Path::new(path))
+            .unwrap_or_else(|e| panic!("cannot write telemetry JSONL to {path}: {e}"));
+        println!("telemetry: {} records -> {path}", sink.len());
+    }
+    let mut o = BTreeMap::new();
+    o.insert("records".into(), json::number_usize(sink.len()));
+    o.insert("violations".into(), json::number_usize(0));
+    (totals, Value::Object(o))
+}
+
+/// The report's `faults` object: the `--faults` plan and its aggregate
+/// ledger.
+fn faults_json(args: &Args, plan: &FaultPlan, totals: &FaultRecord) -> Value {
+    let counters = [
+        ("injected", totals.injected()),
+        ("bit_flips", totals.bit_flip_events),
+        ("ecc_corrected", totals.ecc_corrected),
+        ("ecc_uncorrectable", totals.ecc_uncorrectable),
+        ("crc_corruptions", totals.crc_corruptions),
+        ("link_retries_ok", totals.link_retries_ok),
+        ("link_failures", totals.link_failures),
+        ("vault_outages", totals.vault_outages),
+        ("module_outages", totals.module_outages),
+        ("stragglers", totals.stragglers),
+        ("failed_over", totals.failed_over),
+        ("seed", plan.seed),
+    ];
+    let mut f: BTreeMap<String, Value> = counters
+        .into_iter()
+        .map(|(key, n)| (key.to_string(), json::number_u64(n)))
+        .collect();
+    let spec = args.faults.clone().expect("a plan implies --faults");
+    f.insert("spec".into(), Value::String(spec));
+    f.insert("coverage".into(), json::number_f64(totals.coverage()));
+    f.insert(
+        "recovery_seconds".into(),
+        json::number_f64(totals.recovery_seconds),
+    );
+    Value::Object(f)
 }
 
 fn hist_value(hist: &[u64]) -> Value {
@@ -1360,17 +1366,10 @@ fn main() {
     let bench = ssam_datasets::Benchmark::from_spec(spec);
     let k = args.k.unwrap_or_else(|| bench.k());
     let sink = Telemetry::new();
-    let mut device = {
-        let mut dev = SsamDevice::new(SsamConfig {
-            vector_length: 4,
-            optimize_kernels: !args.no_opt,
-            fast_path: args.fast_path,
-            ..SsamConfig::default()
-        });
-        dev.load_vectors(&bench.train);
-        dev
-    };
+    let mut device = SsamDevice::new(SsamConfig::default());
+    device.load_vectors(&bench.train);
     device.attach_telemetry(&sink);
+    let device_config = *device.config();
     let dataset_label = format!(
         "{} ({} train / {} queries, {}-d)",
         bench.spec.name,
@@ -1381,16 +1380,8 @@ fn main() {
     let queries = Arc::new(bench.queries);
 
     println!(
-        "serve-load: {dataset_label}, k={k}, workers={}, max_batch={}, linger={:?}, \
-         executor={}",
-        args.workers,
-        args.max_batch,
-        args.linger,
-        if args.fast_path {
-            "analytic fast path"
-        } else {
-            "cycle simulator"
-        }
+        "serve-load: {dataset_label}, k={k}, workers={}, max_batch={}, linger={:?}",
+        args.workers, args.max_batch, args.linger,
     );
 
     // ---- Offline ceiling: the device's batch engine, no serving layer.
@@ -1690,12 +1681,12 @@ fn main() {
                 o.insert("served".into(), json::number_u64(t.served()));
                 o.insert("goodput_qps".into(), json::number_f64(t.goodput()));
                 o.insert("demand_met".into(), json::number_f64(t.demand_met()));
-                o.insert("p50_ms".into(), json::number_f64(t.percentile(0.50)));
-                o.insert("p95_ms".into(), json::number_f64(t.percentile(0.95)));
-                o.insert("p99_ms".into(), json::number_f64(t.percentile(0.99)));
+                o.insert("p50_ms".into(), finite_json(t.percentile(0.50)));
+                o.insert("p95_ms".into(), finite_json(t.percentile(0.95)));
+                o.insert("p99_ms".into(), finite_json(t.percentile(0.99)));
                 o.insert(
                     "p99_with_expired_ms".into(),
-                    json::number_f64(t.percentile_with_expired(0.99)),
+                    finite_json(t.percentile_with_expired(0.99)),
                 );
                 o.insert(
                     "rejected_overload".into(),
@@ -1722,15 +1713,15 @@ fn main() {
                 ("rejected_deadline", json::number_u64(expired)),
                 (
                     "p50_with_expired_ms",
-                    json::number_f64(tail_percentile(&m.latencies_ms, &expired_all, 0.50)),
+                    finite_json(tail_percentile(&m.latencies_ms, &expired_all, 0.50)),
                 ),
                 (
                     "p95_with_expired_ms",
-                    json::number_f64(tail_percentile(&m.latencies_ms, &expired_all, 0.95)),
+                    finite_json(tail_percentile(&m.latencies_ms, &expired_all, 0.95)),
                 ),
                 (
                     "p99_with_expired_ms",
-                    json::number_f64(tail_percentile(&m.latencies_ms, &expired_all, 0.99)),
+                    finite_json(tail_percentile(&m.latencies_ms, &expired_all, 0.99)),
                 ),
                 ("jain_fairness", json::number_f64(jain)),
                 ("tenants", Value::Array(tenants_json)),
@@ -1740,26 +1731,10 @@ fn main() {
     let open_stats = Arc::into_inner(open_server).expect("sole owner").shutdown();
     let dyn_stats = Arc::into_inner(server).expect("sole owner").shutdown();
 
-    // ---- Telemetry cross-check: every served batch left verified
-    // records; any retained violation fails the run.
-    if let Some(path) = &args.telemetry {
-        sink.write_jsonl(std::path::Path::new(path))
-            .unwrap_or_else(|e| panic!("cannot write telemetry JSONL to {path}: {e}"));
-        println!("\ntelemetry: {} records -> {path}", sink.len());
-    }
-    let violations = sink.violations();
-    assert!(
-        violations.is_empty(),
-        "serve-path telemetry accounting violations: {violations:#?}"
-    );
-    println!("telemetry: {} verified records, 0 violations", sink.len());
-
-    // ---- Fault audit: the aggregate of every per-query fault record
-    // must close — no injected fault may vanish unaccounted.
-    let fault_totals = sink.fault_totals();
-    fault_totals
-        .check_closure()
-        .unwrap_or_else(|e| panic!("fault accounting does not close: {e}"));
+    // ---- Telemetry and fault audit: every served batch left verified
+    // records, and no injected fault may vanish unaccounted.
+    println!();
+    let (fault_totals, telemetry_json) = audit_telemetry(&sink, args.telemetry.as_deref());
     if fault_plan.is_some() {
         println!(
             "faults: {} injected = {} ecc-corrected + {} ecc-uncorrectable + \
@@ -1796,8 +1771,11 @@ fn main() {
         json::number_u64(args.linger.as_micros() as u64),
     );
     root.insert("seconds_per_point".into(), json::number_f64(args.seconds));
-    root.insert("optimize_kernels".into(), Value::Bool(!args.no_opt));
-    root.insert("fast_path".into(), Value::Bool(args.fast_path));
+    root.insert(
+        "optimize_kernels".into(),
+        Value::Bool(device_config.optimize_kernels),
+    );
+    root.insert("fast_path".into(), Value::Bool(device_config.fast_path));
     let mut offline_o = BTreeMap::new();
     offline_o.insert("batch".into(), json::number_usize(offline_batch));
     offline_o.insert("host_qps".into(), json::number_f64(offline_host));
@@ -1827,61 +1805,9 @@ fn main() {
     );
     root.insert("open_loop".into(), open);
     root.insert("batch_hist".into(), hist_value(&final_stats.batch_hist));
-    let mut tele_o = BTreeMap::new();
-    tele_o.insert("records".into(), json::number_usize(sink.len()));
-    tele_o.insert("violations".into(), json::number_usize(0));
-    root.insert("telemetry".into(), Value::Object(tele_o));
+    root.insert("telemetry".into(), telemetry_json);
     if let Some(plan) = &fault_plan {
-        let mut f = BTreeMap::new();
-        f.insert("spec".into(), Value::String(args.faults.clone().unwrap()));
-        f.insert("seed".into(), json::number_u64(plan.seed));
-        f.insert("injected".into(), json::number_u64(fault_totals.injected()));
-        f.insert(
-            "bit_flips".into(),
-            json::number_u64(fault_totals.bit_flip_events),
-        );
-        f.insert(
-            "ecc_corrected".into(),
-            json::number_u64(fault_totals.ecc_corrected),
-        );
-        f.insert(
-            "ecc_uncorrectable".into(),
-            json::number_u64(fault_totals.ecc_uncorrectable),
-        );
-        f.insert(
-            "crc_corruptions".into(),
-            json::number_u64(fault_totals.crc_corruptions),
-        );
-        f.insert(
-            "link_retries_ok".into(),
-            json::number_u64(fault_totals.link_retries_ok),
-        );
-        f.insert(
-            "link_failures".into(),
-            json::number_u64(fault_totals.link_failures),
-        );
-        f.insert(
-            "vault_outages".into(),
-            json::number_u64(fault_totals.vault_outages),
-        );
-        f.insert(
-            "module_outages".into(),
-            json::number_u64(fault_totals.module_outages),
-        );
-        f.insert(
-            "stragglers".into(),
-            json::number_u64(fault_totals.stragglers),
-        );
-        f.insert(
-            "failed_over".into(),
-            json::number_u64(fault_totals.failed_over),
-        );
-        f.insert("coverage".into(), json::number_f64(fault_totals.coverage()));
-        f.insert(
-            "recovery_seconds".into(),
-            json::number_f64(fault_totals.recovery_seconds),
-        );
-        root.insert("faults".into(), Value::Object(f));
+        root.insert("faults".into(), faults_json(&args, plan, &fault_totals));
     }
     let mut stats_o = BTreeMap::new();
     for (name, s) in [("dynamic", &dyn_stats), ("open_loop", &open_stats)] {
@@ -1972,6 +1898,17 @@ mod tests {
         assert_eq!(one.percentile(0.99), 7.5);
         assert_eq!(percentile_rank(1, 0.0), 0);
         assert_eq!(percentile_rank(5, 1.0), 4);
+    }
+
+    /// A write-only `--mutate` mix serves zero reads; its `open_loop`
+    /// object must still serialize (NaN percentiles and device q/s
+    /// report 0.0) instead of panicking in the JSON writer.
+    #[test]
+    fn empty_measurement_serializes() {
+        let payload = json::to_string(&measured_object(&measured(vec![]), &[]));
+        assert!(payload.contains("\"served\":0"), "{payload}");
+        assert!(payload.contains("\"p99_ms\":0.0"), "{payload}");
+        assert!(payload.contains("\"device_qps\":0.0"), "{payload}");
     }
 
     /// The cursor the open loop indexes queries with must survive past

@@ -32,9 +32,11 @@
 //! [`supported`]), as does anything whose synthesized counters fail to
 //! resolve exactly.
 //!
-//! The `fastpath_equivalence` integration suite drives both executors
-//! over random batches — with and without chaos fault plans — and
-//! asserts bit-identity on every observable.
+//! This is the device's default executor (`SsamConfig::fast_path`);
+//! `fast_path: false` selects the cycle simulator as the oracle. The
+//! `fastpath_equivalence` integration suite drives both executors over
+//! random batches — with and without chaos fault plans — and asserts
+//! bit-identity on every observable.
 
 use super::DeviceMetric;
 use crate::analysis::cost::{estimate_with, CostParams};

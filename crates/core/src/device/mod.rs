@@ -58,8 +58,7 @@ pub struct SsamConfig {
     pub use_hw_queue: bool,
     /// Stage the optimizer's output (default). `false` stages each
     /// kernel's [`crate::kernels::Kernel::raw_program`] instead — the
-    /// A/B escape hatch used by the differential tests and
-    /// `serve_load --no-opt`.
+    /// A/B escape hatch used by the differential tests.
     pub optimize_kernels: bool,
     /// Execute eligible queries through the analytic fast path
     /// ([`fastpath`]): distances computed host-side, counters synthesized
@@ -67,9 +66,9 @@ pub struct SsamConfig {
     /// priority queue — bit-identical results without per-instruction
     /// interpretation. Applies to the hardware-queue Euclidean /
     /// Manhattan / Hamming kernels; cosine and software-queue queries
-    /// fall back to the cycle simulator per query. Default `false` (the
-    /// simulator remains authoritative; `serve_load --fast-path` and the
-    /// equivalence tests flip this on).
+    /// fall back to the cycle simulator per query. Default `true`;
+    /// `false` selects the cycle simulator, the oracle the differential
+    /// suites compare against.
     pub fast_path: bool,
 }
 
@@ -82,7 +81,7 @@ impl Default for SsamConfig {
             max_pus_per_vault: 8,
             use_hw_queue: true,
             optimize_kernels: true,
-            fast_path: false,
+            fast_path: true,
         }
     }
 }
@@ -1293,6 +1292,14 @@ mod tests {
         })
     }
 
+    /// The cycle simulator, for tests of its processing-unit recycling.
+    fn sim_device() -> SsamDevice {
+        SsamDevice::new(SsamConfig {
+            fast_path: false,
+            ..SsamConfig::default()
+        })
+    }
+
     #[test]
     fn euclidean_device_matches_reference_exactly() {
         let store = random_store(300, 10, 1);
@@ -1573,7 +1580,7 @@ mod tests {
     #[test]
     fn query_batch_matches_serial_loop() {
         let store = random_store(180, 6, 24);
-        let mut dev = device(4);
+        let mut dev = sim_device();
         dev.load_vectors(&store);
         let qs: Vec<Vec<f32>> = (0..5)
             .map(|i| (0..6).map(|j| ((i * 7 + j) as f32 * 0.3).sin()).collect())
@@ -1595,7 +1602,7 @@ mod tests {
         // Kernel switches inside one tile exercise the program-reload path
         // of the recycled PUs.
         let store = random_store(100, 6, 26);
-        let mut dev = device(4);
+        let mut dev = sim_device();
         dev.load_vectors(&store);
         let q1: Vec<f32> = (0..6).map(|i| 0.2 * i as f32).collect();
         let q2: Vec<f32> = (0..6).map(|i| -0.1 * i as f32).collect();

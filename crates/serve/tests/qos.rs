@@ -242,16 +242,13 @@ fn float_vec(x: &mut u64) -> Vec<f32> {
         .collect()
 }
 
-fn fast_device(n: usize, seed: u64) -> SsamDevice {
+fn device(n: usize, seed: u64) -> SsamDevice {
     let mut store = VectorStore::with_capacity(DIMS, n);
     let mut x = seed | 1;
     for _ in 0..n {
         store.push(&float_vec(&mut x));
     }
-    let mut dev = SsamDevice::new(SsamConfig {
-        fast_path: true,
-        ..SsamConfig::default()
-    });
+    let mut dev = SsamDevice::new(SsamConfig::default());
     dev.load_vectors(&store);
     dev
 }
@@ -274,7 +271,7 @@ fn two_tenant_run(storm_on_a: bool) -> Vec<f64> {
         ServeFaults::default()
     };
     let server = Server::start(
-        fast_device(256, 33),
+        device(256, 33),
         ServeConfig {
             max_batch: 8,
             max_linger: Duration::from_micros(200),

@@ -14,7 +14,6 @@ fn store_config(dims: usize, capacity: usize, fanout: usize) -> StoreConfig {
     let mut c = StoreConfig::new(dims);
     c.memtable_capacity = capacity;
     c.fanout = fanout;
-    c.device.fast_path = true;
     c
 }
 
@@ -71,10 +70,7 @@ fn served_store_matches_immutable_rebuild_under_churn() {
             for (_, v) in &live {
                 flat.push(v);
             }
-            let mut device = SsamDevice::new(SsamConfig {
-                fast_path: true,
-                ..SsamConfig::default()
-            });
+            let mut device = SsamDevice::new(SsamConfig::default());
             device.load_vectors(&flat);
             (device, live)
         };

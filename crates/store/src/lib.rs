@@ -1138,11 +1138,10 @@ pub struct Snapshot {
 mod tests {
     use super::*;
 
-    fn fast_config(dims: usize, capacity: usize, fanout: usize) -> StoreConfig {
+    fn store_config(dims: usize, capacity: usize, fanout: usize) -> StoreConfig {
         let mut c = StoreConfig::new(dims);
         c.memtable_capacity = capacity;
         c.fanout = fanout;
-        c.device.fast_path = true;
         c
     }
 
@@ -1164,7 +1163,7 @@ mod tests {
 
     #[test]
     fn insert_query_roundtrip_memtable_only() {
-        let mut store = Store::create(fast_config(4, 100, 4));
+        let mut store = Store::create(store_config(4, 100, 4));
         for (i, v) in vecs(10, 4, 7).iter().enumerate() {
             store.insert(i as u32, v).unwrap();
         }
@@ -1178,7 +1177,7 @@ mod tests {
 
     #[test]
     fn seal_moves_memtable_to_segment_and_preserves_results() {
-        let mut store = Store::create(fast_config(4, 100, 4));
+        let mut store = Store::create(store_config(4, 100, 4));
         for (i, v) in vecs(12, 4, 11).iter().enumerate() {
             store.insert(i as u32, v).unwrap();
         }
@@ -1197,7 +1196,7 @@ mod tests {
 
     #[test]
     fn delete_suppresses_across_memtable_and_segments() {
-        let mut store = Store::create(fast_config(4, 100, 4));
+        let mut store = Store::create(store_config(4, 100, 4));
         let vs = vecs(8, 4, 3);
         for (i, v) in vs.iter().enumerate() {
             store.insert(i as u32, v).unwrap();
@@ -1215,7 +1214,7 @@ mod tests {
 
     #[test]
     fn update_dedups_to_latest_version() {
-        let mut store = Store::create(fast_config(2, 100, 4));
+        let mut store = Store::create(store_config(2, 100, 4));
         store.insert(5, &[0.9, 0.9]).unwrap();
         store.seal();
         store.insert(5, &[0.0, 0.0]).unwrap();
@@ -1230,7 +1229,7 @@ mod tests {
 
     #[test]
     fn auto_seal_trips_at_capacity_and_compaction_reduces_segments() {
-        let mut store = Store::create(fast_config(2, 4, 2));
+        let mut store = Store::create(store_config(2, 4, 2));
         let vs = vecs(40, 2, 17);
         let mut sealed = 0;
         for (i, v) in vs.iter().enumerate() {
@@ -1254,7 +1253,7 @@ mod tests {
 
     #[test]
     fn blind_delete_tombstone_purged_by_compaction() {
-        let mut store = Store::create(fast_config(2, 2, 1));
+        let mut store = Store::create(store_config(2, 2, 1));
         store.delete(999).unwrap();
         let vs = vecs(8, 2, 5);
         for (i, v) in vs.iter().enumerate() {
@@ -1267,7 +1266,7 @@ mod tests {
 
     #[test]
     fn wal_replay_recovers_full_state_bit_identically() {
-        let mut store = Store::create(fast_config(3, 3, 2));
+        let mut store = Store::create(store_config(3, 3, 2));
         let vs = vecs(20, 3, 23);
         for (i, v) in vs.iter().enumerate() {
             store.insert((i % 12) as u32, v).unwrap();
@@ -1277,7 +1276,7 @@ mod tests {
         }
         store.seal();
         while store.compact_step() {}
-        let (recovered, rec) = Store::open(fast_config(3, 3, 2), store.wal_bytes()).unwrap();
+        let (recovered, rec) = Store::open(store_config(3, 3, 2), store.wal_bytes()).unwrap();
         assert_eq!(rec.truncated, 0);
         assert_eq!(rec.replayed as u64, store.stats().wal_records);
         assert_eq!(recovered.snapshot(), store.snapshot());
@@ -1296,13 +1295,13 @@ mod tests {
 
     #[test]
     fn torn_tail_recovers_prefix() {
-        let mut store = Store::create(fast_config(2, 100, 4));
+        let mut store = Store::create(store_config(2, 100, 4));
         store.insert(1, &[0.5, 0.5]).unwrap();
         let good = store.wal_bytes().len();
         store.insert(2, &[0.25, 0.25]).unwrap();
         let mut bytes = store.wal_bytes().to_vec();
         bytes.truncate(good + 3); // tear the second frame
-        let (recovered, rec) = Store::open(fast_config(2, 100, 4), &bytes).unwrap();
+        let (recovered, rec) = Store::open(store_config(2, 100, 4), &bytes).unwrap();
         assert_eq!(rec.replayed, 1);
         assert_eq!(rec.truncated, 3);
         assert_eq!(recovered.live_len(), 1);
@@ -1312,19 +1311,19 @@ mod tests {
     fn wal_sync_knob_governs_crash_durability() {
         // Default: every record is durable the moment its ack returns —
         // a crash at the most hostile cut keeps everything.
-        let mut per_record = Store::create(fast_config(2, 100, 4));
+        let mut per_record = Store::create(store_config(2, 100, 4));
         assert_eq!(per_record.config().sync, WalSync::EveryRecord);
         per_record.insert(1, &[0.1, 0.1]).unwrap();
         per_record.insert(2, &[0.2, 0.2]).unwrap();
         let s = per_record.stats();
         assert_eq!(s.wal_durable_bytes, s.wal_bytes);
-        let (rec, r) = Store::open(fast_config(2, 100, 4), per_record.crash_wal_image(0)).unwrap();
+        let (rec, r) = Store::open(store_config(2, 100, 4), per_record.crash_wal_image(0)).unwrap();
         assert_eq!(r.replayed, 2);
         assert_eq!(rec.live_len(), 2);
 
         // OnSeal: acknowledged data records ride in the volatile tail
         // and can vanish wholesale until a seal flushes them.
-        let mut cfg = fast_config(2, 100, 4);
+        let mut cfg = store_config(2, 100, 4);
         cfg.sync = WalSync::OnSeal;
         let mut lazy = Store::create(cfg.clone());
         lazy.insert(1, &[0.1, 0.1]).unwrap();
@@ -1346,7 +1345,7 @@ mod tests {
     #[test]
     fn account_passes_verification_through_lifecycle() {
         let sink = Telemetry::new();
-        let mut store = Store::create(fast_config(2, 3, 1));
+        let mut store = Store::create(store_config(2, 3, 1));
         store.attach_telemetry(&sink);
         let vs = vecs(14, 2, 9);
         for (i, v) in vs.iter().enumerate() {
@@ -1368,7 +1367,7 @@ mod tests {
 
     #[test]
     fn dims_and_metric_validation() {
-        let mut store = Store::create(fast_config(3, 100, 4));
+        let mut store = Store::create(store_config(3, 100, 4));
         assert!(matches!(
             store.insert(0, &[1.0]),
             Err(StoreError::DimsMismatch {
@@ -1396,7 +1395,7 @@ mod tests {
 
     #[test]
     fn live_set_matches_visible_contents() {
-        let mut store = Store::create(fast_config(2, 3, 2));
+        let mut store = Store::create(store_config(2, 3, 2));
         store.insert(4, &[0.1, 0.1]).unwrap();
         store.insert(2, &[0.2, 0.2]).unwrap();
         store.insert(9, &[0.3, 0.3]).unwrap(); // trips a seal

@@ -915,7 +915,6 @@ mod tests {
         let mut store = StoreConfig::new(3);
         store.memtable_capacity = 4;
         store.fanout = 2;
-        store.device.fast_path = true;
         ShardedStoreConfig::new(shards, replicas, store)
     }
 

@@ -6,7 +6,9 @@
 //! images between (query, vault) runs; none of that may leak between
 //! queries. Every (metric × k × queue-implementation) configuration must
 //! return bit-identical neighbors, per-vault simulation statistics, and
-//! serial-equivalent per-query timing.
+//! serial-equivalent per-query timing. Processing-unit recycling is a
+//! cycle-simulator property, so both device builders pin
+//! `fast_path: false`.
 
 use proptest::prelude::*;
 
@@ -33,6 +35,7 @@ fn float_device(use_hw_queue: bool, seed: u64, n: usize) -> SsamDevice {
     }
     let mut dev = SsamDevice::new(SsamConfig {
         use_hw_queue,
+        fast_path: false,
         ..SsamConfig::default()
     });
     dev.load_vectors(&store);
@@ -55,6 +58,7 @@ fn binary_device(use_hw_queue: bool, seed: u64, n: usize) -> SsamDevice {
     }
     let mut dev = SsamDevice::new(SsamConfig {
         use_hw_queue,
+        fast_path: false,
         ..SsamConfig::default()
     });
     dev.load_binary(&store);

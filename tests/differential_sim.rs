@@ -392,6 +392,7 @@ fn device_distances_agree_with_cpu_reference_units() {
     for use_hw_queue in [true, false] {
         let mut dev = SsamDevice::new(SsamConfig {
             use_hw_queue,
+            fast_path: false,
             ..SsamConfig::default()
         });
         dev.load_vectors(&store);

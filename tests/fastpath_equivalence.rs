@@ -1,7 +1,9 @@
 //! Differential property tests: the analytic fast-path executor is
 //! bit-identical to the cycle simulator.
 //!
-//! `SsamConfig::fast_path` replaces per-instruction interpretation with
+//! The fast path is the default executor; `SsamConfig::fast_path = false`
+//! selects the cycle simulator as the oracle these properties compare
+//! against. The fast path replaces per-instruction interpretation with
 //! host-side Q16.16 distances, the same hardware priority queue, and
 //! counters synthesized by the static cost model. Nothing observable may
 //! change: neighbors, per-vault `RunStats`, per-query and batch timing,
@@ -20,6 +22,7 @@ use ssam::core::telemetry::Telemetry;
 use ssam::faults::FaultPlan;
 use ssam::knn::binary::BinaryStore;
 use ssam::knn::VectorStore;
+use ssam::store::StoreConfig;
 
 const DIMS: usize = 8;
 const CODE_WORDS: usize = 2;
@@ -230,4 +233,12 @@ proptest! {
             5,
         );
     }
+}
+
+/// Every caller that does not choose an executor gets the fast path,
+/// directly and through the store's device config.
+#[test]
+fn fast_path_is_the_default_executor() {
+    assert!(SsamConfig::default().fast_path);
+    assert!(StoreConfig::new(DIMS).device.fast_path);
 }

@@ -223,7 +223,6 @@ proptest! {
 fn sharded(shards: usize, replicas: usize, full: &VectorStore) -> ShardedStore {
     let mut config = StoreConfig::new(DIMS);
     config.memtable_capacity = 16;
-    config.device.fast_path = true;
     let mut s = ShardedStore::create(ShardedStoreConfig::new(shards, replicas, config));
     for uid in 0..full.len() as u32 {
         s.insert(uid, full.get(uid)).expect("fault-free ingest");

@@ -2,8 +2,11 @@
 //!
 //! `Kernel::build` runs the dataflow optimizer over each generated
 //! program, and the device stages the optimized image by default with
-//! `SsamConfig::optimize_kernels = false` as the A/B escape hatch. These
-//! properties pin the contract:
+//! `SsamConfig::optimize_kernels = false` as the A/B escape hatch. The
+//! devices here pin `fast_path: false`: the fast path computes distances
+//! on the host and reads the program only to synthesize counters, so only
+//! the cycle simulator actually executes the raw and optimized images.
+//! These properties pin the contract:
 //!
 //! 1. **Bit-identical answers** — for every metric, queue
 //!    implementation, and k, an optimized device returns exactly the
@@ -73,6 +76,7 @@ fn device(optimize: bool, use_hw: bool, float: bool, seed: u64, chaos: bool) -> 
     let mut dev = SsamDevice::new(SsamConfig {
         use_hw_queue: use_hw,
         optimize_kernels: optimize,
+        fast_path: false,
         ..SsamConfig::default()
     });
     if float {

@@ -61,7 +61,6 @@ fn store_config() -> StoreConfig {
     let mut c = StoreConfig::new(DIMS);
     c.memtable_capacity = 4;
     c.fanout = 2;
-    c.device.fast_path = true;
     c
 }
 

@@ -68,7 +68,6 @@ fn config() -> ShardedStoreConfig {
     let mut store = StoreConfig::new(DIMS);
     store.memtable_capacity = 3;
     store.fanout = 2;
-    store.device.fast_path = true;
     ShardedStoreConfig::new(SHARDS, REPLICAS, store)
 }
 

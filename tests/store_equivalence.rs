@@ -57,7 +57,6 @@ fn small_store() -> Store {
     let mut c = StoreConfig::new(DIMS);
     c.memtable_capacity = 5;
     c.fanout = 2;
-    c.device.fast_path = true;
     Store::create(c)
 }
 
@@ -68,10 +67,7 @@ fn rebuild(live: &[(u32, Vec<f32>)]) -> SsamDevice {
     for (_, v) in live {
         flat.push(v);
     }
-    let mut dev = SsamDevice::new(SsamConfig {
-        fast_path: true,
-        ..SsamConfig::default()
-    });
+    let mut dev = SsamDevice::new(SsamConfig::default());
     dev.load_vectors(&flat);
     dev
 }

@@ -64,7 +64,6 @@ fn config() -> StoreConfig {
     let mut c = StoreConfig::new(DIMS);
     c.memtable_capacity = 4;
     c.fanout = 2;
-    c.device.fast_path = true;
     c
 }
 

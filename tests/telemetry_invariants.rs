@@ -51,7 +51,10 @@ fn close(a: f64, b: f64) -> bool {
 /// the collected records (all of which already survived collection-time
 /// checking — a violation would have panicked in this debug build).
 fn device_records(batch: usize) -> (Telemetry, Vec<QueryRecord>) {
-    let mut dev = SsamDevice::new(SsamConfig::default());
+    let mut dev = SsamDevice::new(SsamConfig {
+        fast_path: false,
+        ..SsamConfig::default()
+    });
     dev.load_vectors(&store(300, 17));
     let sink = Telemetry::default();
     dev.attach_telemetry(&sink);
